@@ -36,19 +36,18 @@ from .lattice import (
     linalg_lemma_check,
     mod2_quadratic_census,
     orth_complement,
-    perm_isometry,
     picard_model_check,
     standard_space,
 )
 from .linalg import frac_is_square, int_is_square
 from .position import (
-    PositionReport,
     check_singular_cubic,
     check_six_conic,
     check_three_collinear,
-    position_report,
+    position_checks,
 )
-from .quotient import NotInvertible, QuotElem, qr_inverse, qr_reduce, tri_eval_param
+from .quotient import qr_reduce, tri_eval_param
+from .serialize import Check
 from .tripoly import TriPoly
 from .unipoly import UniPoly, from_power_sums, power_sums, root_sum_poly
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: construct, verify, position, galois, lattice.  Exit codes:
-0 all requested checks pass (or construction succeeded), 1 a mathematical
-check failed (the report carries a witness), 2 invalid input.
+Subcommands: construct, verify, position, galois, lattice.  Each one is an
+entry of SUBCOMMANDS that returns its ordered checks plus any extra
+blocks; one assembler turns them into the report.  Exit codes: 0 every
+requested check passed, 1 a mathematical check failed (the report carries
+a witness), 2 invalid input, 3 an I/O or internal error.
 """
 
 from __future__ import annotations
@@ -10,13 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .curve import (
-    SeedError,
-    SeedPoly,
-    build_bundle,
-    validate_seed,
-    verify_bundle,
-)
+from .curve import SeedError, SeedPoly, build_bundle, validate_seed, verify_bundle
 from .galois import certify_galois
 from .lattice import (
     build_hyperbolic,
@@ -28,12 +24,13 @@ from .lattice import (
     picard_model_check,
     standard_space,
 )
-from .position import PositionReport, position_report
-from .serialize import frac_str, parse_frac, to_canonical_json, to_text, tri_terms, uni_coeff_strs
+from .position import position_checks
+from .serialize import Check, parse_frac, to_canonical_json, to_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_ERROR = 3
 
 
 def _parse_seed(poly: str) -> SeedPoly:
@@ -44,174 +41,124 @@ def _parse_seed(poly: str) -> SeedPoly:
     return validate_seed(coeffs)
 
 
-def _seed_payload(seed: SeedPoly) -> list[str]:
-    return uni_coeff_strs(seed.h)
+def _forms(bundle) -> dict:
+    return {"u": bundle.u, "v": bundle.v, "w": bundle.w, "Q": bundle.q_form}
 
 
-def _forms_payload(bundle) -> dict:
-    return {
-        "u": tri_terms(bundle.u),
-        "v": tri_terms(bundle.v),
-        "w": tri_terms(bundle.w),
-        "Q": tri_terms(bundle.q_form),
-    }
-
-
-def _position_payload(report: PositionReport) -> tuple[dict, dict]:
-    checks = {
-        "no_three_collinear": report.collinear.passed,
-        "no_six_on_conic": report.conic.passed,
-        "no_singular_cubic_through_point": report.singular_cubic.passed,
-    }
-    witnesses = {}
-    for name, check in (
-        ("no_three_collinear", report.collinear),
-        ("no_six_on_conic", report.conic),
-        ("no_singular_cubic_through_point", report.singular_cubic),
-    ):
-        witnesses[name] = _jsonable(check.witness)
-    return checks, witnesses
-
-
-def _jsonable(value):
-    from fractions import Fraction
-
-    from .tripoly import TriPoly
-    from .unipoly import UniPoly
-
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, UniPoly):
-        return uni_coeff_strs(value)
-    if isinstance(value, TriPoly):
-        return tri_terms(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return str(value)
-
-
-def _galois_payload(cert) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "transitivity_prime": cert.transitivity_prime,
-        "five_cycle_prime": cert.five_cycle_prime,
-        "discriminant": frac_str(cert.discriminant),
-        "discriminant_is_square": cert.disc_is_square,
-        "sampled_cycle_types": [
-            {"prime": ct.prime, "parts": list(ct.parts)} for ct in cert.sampled_types
-        ],
-    }
-
-
-def cmd_construct(seed: SeedPoly) -> tuple[dict, bool]:
-    bundle = build_bundle(seed)
-    payload = {
-        "command": "construct",
-        "seed": _seed_payload(seed),
-        "forms": _forms_payload(bundle),
-        "checks": {"model_degree_9": bundle.q_form.total_degree == 9},
-        "witnesses": {
-            "reduced_x_derivative": uni_coeff_strs(bundle.p_reduced),
-            "cubic_matcher": tri_terms(bundle.g_cubic),
+def _galois_check(seed: SeedPoly, prime_bound: int) -> Check:
+    cert = certify_galois(seed, prime_bound)
+    return Check(
+        "galois_certified",
+        cert.certified,
+        {
+            "verdict": cert.verdict,
+            "transitivity_prime": cert.transitivity_prime,
+            "five_cycle_prime": cert.five_cycle_prime,
+            "discriminant": cert.discriminant,
+            "discriminant_is_square": cert.disc_is_square,
+            "sampled_cycle_types": [
+                {"prime": ct.prime, "parts": ct.parts} for ct in cert.sampled_types
+            ],
         },
-    }
-    return payload, True
+    )
 
 
-def cmd_verify(seed: SeedPoly, prime_bound: int) -> tuple[dict, bool]:
+def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
     bundle = build_bundle(seed)
-    report = verify_bundle(bundle)
-    pos = position_report(seed)
-    cert = certify_galois(seed, prime_bound)
-    checks = {name: c.passed for name, c in sorted(report.checks.items())}
-    witnesses = {name: _jsonable(c.details) for name, c in sorted(report.checks.items())}
-    pos_checks, pos_witnesses = _position_payload(pos)
-    checks.update(pos_checks)
-    witnesses.update(pos_witnesses)
-    checks["galois_certified"] = cert.certified
-    payload = {
-        "command": "verify",
-        "seed": _seed_payload(seed),
-        "forms": _forms_payload(bundle),
-        "checks": checks,
-        "witnesses": witnesses,
-        "galois": _galois_payload(cert),
-    }
-    return payload, all(checks.values())
+    check = Check(
+        "model_degree_9",
+        bundle.q_form.total_degree == 9,
+        {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic},
+    )
+    return [check], {"forms": _forms(bundle)}
 
 
-def cmd_position(seed: SeedPoly) -> tuple[dict, bool]:
-    pos = position_report(seed)
-    checks, witnesses = _position_payload(pos)
-    payload = {
-        "command": "position",
-        "seed": _seed_payload(seed),
-        "checks": checks,
-        "witnesses": witnesses,
-    }
-    return payload, pos.in_general_position
+def _verify(seed: SeedPoly, args) -> tuple[list[Check], dict]:
+    bundle = build_bundle(seed)
+    checks = verify_bundle(bundle) + position_checks(seed)
+    galois = _galois_check(seed, args.prime_bound)
+    checks.append(Check(galois.name, galois.passed, None))
+    return checks, {"forms": _forms(bundle), "galois": galois.witness}
 
 
-def cmd_galois(seed: SeedPoly, prime_bound: int) -> tuple[dict, bool]:
-    cert = certify_galois(seed, prime_bound)
-    payload = {
-        "command": "galois",
-        "seed": _seed_payload(seed),
-        "checks": {"galois_certified": cert.certified},
-        "witnesses": _galois_payload(cert),
-    }
-    return payload, cert.certified
+def _position(seed: SeedPoly, args) -> tuple[list[Check], dict]:
+    return position_checks(seed), {}
 
 
-def cmd_lattice(d: int) -> tuple[dict, bool]:
+def _galois(seed: SeedPoly, args) -> tuple[list[Check], dict]:
+    return [_galois_check(seed, args.prime_bound)], {}
+
+
+def _lattice(seed: None, args) -> tuple[list[Check], dict]:
+    d = args.d
     marked = build_hyperbolic(d)
     comp = orth_complement(marked.lattice, marked.omega)
     roots = enumerate_short_vectors(comp.lattice, -2)
-    expected_roots = 240 if d == 1 else 126
-    expected_det = 1 if d == 1 else 2
-    checks = {
-        "omega_self_pairing": marked.lattice.pair(marked.omega, marked.omega) == d,
-        "complement_rank": comp.lattice.rank == 9 - d,
-        "complement_determinant": abs(comp.lattice.determinant) == expected_det,
-        "complement_even": (comp.lattice.is_even if d == 1 else True),
-        "root_count": len(roots) == expected_roots,
-    }
-    witnesses = {
-        "omega_self_pairing": marked.lattice.pair(marked.omega, marked.omega),
-        "complement_determinant": comp.lattice.determinant,
-        "root_count": len(roots),
-    }
+    pairing = marked.lattice.pair(marked.omega, marked.omega)
+    det = comp.lattice.determinant
+    checks = [
+        Check("omega_self_pairing", pairing == d, {"omega_self_pairing": pairing}),
+        Check("complement_rank", comp.lattice.rank == 9 - d, {}),
+        Check(
+            "complement_determinant",
+            abs(det) == (1 if d == 1 else 2),
+            {"complement_determinant": det},
+        ),
+        Check("complement_even", comp.lattice.is_even, {}),
+        Check("root_count", len(roots) == (240 if d == 1 else 126), {"root_count": len(roots)}),
+    ]
     if d == 1:
         f8s = f8s_iso_check()
         pic = picard_model_check()
-        census = mod2_quadratic_census()
+        census = mod2_quadratic_census(comp.lattice, roots)
         lemma = linalg_lemma_check(standard_space(4), 2, exhaustive=True)
-        checks.update(
-            {
-                "mod2_identification": f8s.passed,
-                "picard_gram": pic.passed,
-                "mod2_census": census.passed,
-                "independence_lemma_small": lemma.passed,
-            }
-        )
-        witnesses.update(
-            {
-                "census_q1": census.nonzero_q1,
-                "census_q0": census.nonzero_q0,
-                "picard_diag": list(pic.diag_pairings),
-            }
-        )
+        checks += [
+            Check("mod2_identification", f8s.passed, {}),
+            Check("picard_gram", pic.passed, {"picard_diag": pic.witness["diag_pairings"]}),
+            Check(
+                "mod2_census",
+                census.passed,
+                {"census_q1": census.witness["nonzero_q1"], "census_q0": census.witness["nonzero_q0"]},
+            ),
+            Check("independence_lemma_small", lemma.passed, {}),
+        ]
+    return checks, {}
+
+
+# name -> (build, nested).  build(seed, args) returns the ordered checks and
+# any extra top-level blocks.  With nested, the witnesses block maps each
+# check's name to its witness; otherwise the witness fields of all checks
+# are merged into one block.  A witness of None is left out either way.
+SUBCOMMANDS = {
+    "construct": (_construct, False),
+    "verify": (_verify, True),
+    "position": (_position, True),
+    "galois": (_galois, False),
+    "lattice": (_lattice, False),
+}
+
+
+def build_report(args) -> tuple[dict, bool]:
+    """The report payload of a parsed command line, and whether every check passed."""
+    build, nested = SUBCOMMANDS[args.command]
+    seed = _parse_seed(args.poly) if "poly" in args else None
+    checks, blocks = build(seed, args)
+    witnesses: dict = {}
+    for check in checks:
+        if check.witness is None:
+            continue
+        if nested:
+            witnesses[check.name] = check.witness
+        else:
+            witnesses.update(check.witness)
     payload = {
-        "command": "lattice",
-        "seed": None,
-        "checks": checks,
-        "witnesses": _jsonable(witnesses),
+        "command": args.command,
+        "seed": seed.h if seed else None,
+        "checks": {check.name: check.passed for check in checks},
+        "witnesses": witnesses,
+        **blocks,
     }
-    return payload, all(checks.values())
+    return payload, all(check.passed for check in checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,29 +235,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
 
     try:
-        if args.command == "lattice":
-            payload, ok = cmd_lattice(args.d)
-        else:
-            seed = _parse_seed(args.poly)
-            if args.command == "construct":
-                payload, ok = cmd_construct(seed)
-            elif args.command == "verify":
-                payload, ok = cmd_verify(seed, args.prime_bound)
-            elif args.command == "position":
-                payload, ok = cmd_position(seed)
-            else:
-                payload, ok = cmd_galois(seed, args.prime_bound)
+        payload, ok = build_report(args)
+        rendered = to_canonical_json(payload) if args.format == "json" else to_text(payload)
     except SeedError as exc:
         sys.stderr.write(f"invalid seed [{exc.code}]: {exc}\n")
         return EXIT_BAD_INPUT
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_BAD_INPUT
+    except ArithmeticError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_ERROR
 
-    rendered = to_canonical_json(payload) if args.format == "json" else to_text(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            sys.stderr.write(f"cannot write the report: {exc}\n")
+            return EXIT_ERROR
     else:
         sys.stdout.write(rendered)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

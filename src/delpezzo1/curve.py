@@ -20,12 +20,13 @@ could have.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import q_kernel_basis, q_rank
 from .quotient import qr_reduce, tri_eval_param
+from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
 from .unipoly import Scalar, UniPoly
 
@@ -126,7 +127,7 @@ def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, TriPoly, TriPoly, UniPoly
     h = seed.h
     f_sextic = amap(h * h)
     fx = f_sextic.derivative("x")
-    p_reduced = qr_reduce(fx.param_eval(), h).rep
+    p_reduced = qr_reduce(fx.param_eval(), h)
     g_cubic = amap(p_reduced)
     x_minus_y3 = TriPoly({(1, 0, 0): 1, (0, 3, 0): -1})
     h_affine = f_sextic - x_minus_y3 * g_cubic
@@ -182,7 +183,7 @@ def _space_through_points(seed: SeedPoly, degree: int, ops: list[str]) -> list[T
         block = [[Fraction(0)] * len(mons) for _ in range(n)]
         for col, e in enumerate(mons):
             derived = _apply_ops(TriPoly.monomial(e), op)
-            rep = qr_reduce(derived.param_eval(), h).rep
+            rep = qr_reduce(derived.param_eval(), h)
             for d in range(rep.degree + 1):
                 block[d][col] = rep.coeff(d)
         rows.extend(block)
@@ -204,17 +205,10 @@ def sextic_space(seed: SeedPoly) -> list[TriPoly]:
     return _space_through_points(seed, 6, ["", "x", "y"])
 
 
-def form_in_span(form: TriPoly, basis: list[TriPoly], degree: int) -> bool:
+def forms_rank(forms: list[TriPoly], degree: int) -> int:
+    """Dimension over Q of the span of forms of the given degree."""
     mons = _monomials(degree)
-    rows = [[b.coeff(e) for e in mons] for b in basis]
-    with_form = rows + [[form.coeff(e) for e in mons]]
-    return q_rank(rows) == q_rank(with_form)
-
-
-def forms_independent(forms: list[TriPoly], degree: int) -> bool:
-    mons = _monomials(degree)
-    rows = [[f.coeff(e) for e in mons] for f in forms]
-    return q_rank(rows) == len(forms)
+    return q_rank([[f.coeff(e) for e in mons] for f in forms])
 
 
 # -- multiplicity, genus, dichotomy --------------------------------------
@@ -255,7 +249,7 @@ def multiplicity_report(bundle: CurveBundle) -> MultiplicityReport:
     for combo in itertools.combinations_with_replacement(_VARS, 3):
         rep = tri_eval_param(_apply_ops(q, "".join(combo)), h)
         if not rep.is_zero:
-            g = g.gcd(rep.rep)
+            g = g.gcd(rep)
             if g.degree == 0:
                 break
     exact = ok2 and g.degree == 0
@@ -336,89 +330,68 @@ def perfect_power_dichotomy(q: TriPoly) -> DichotomyReport:
 # -- full verification report ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: dict[str, Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def failures(self) -> list[str]:
-        return sorted(name for name, c in self.checks.items() if not c.passed)
-
-
-def verify_bundle(bundle: CurveBundle) -> VerificationReport:
-    """Run every finite check on a constructed bundle."""
-    from .serialize import frac_str, uni_coeff_strs
-
+def verify_bundle(bundle: CurveBundle) -> list[Check]:
+    """Run every finite check on a constructed bundle, in a fixed order."""
     seed = bundle.seed
     h = seed.h
-    checks: dict[str, Check] = {}
+    checks: list[Check] = []
 
     ident = bundle.v.param_eval() - UniPoly([0, 1]) * h
-    checks["v_parametric_identity"] = Check(ident.is_zero, {"residual_degree": ident.degree})
-    checks["v_x_degree"] = Check(bundle.v.x_degree == 3, {"x_degree": bundle.v.x_degree})
+    checks.append(Check("v_parametric_identity", ident.is_zero, {"residual_degree": ident.degree}))
+    checks.append(Check("v_x_degree", bundle.v.x_degree == 3, {"x_degree": bundle.v.x_degree}))
 
+    # a kernel basis is independent, so equal ranks put u and v in its span
     cubics = cubic_space(seed)
-    cubic_ok = (
-        len(cubics) == 2
-        and form_in_span(bundle.u, cubics, 3)
-        and form_in_span(bundle.v, cubics, 3)
-    )
+    cubic_ok = len(cubics) == 2 and forms_rank(cubics + [bundle.u, bundle.v], 3) == 2
     ninth_cubic = all(c.eval(0, 0, 1) == 0 for c in cubics)
-    checks["cubic_space_dimension"] = Check(cubic_ok, {"dimension": len(cubics)})
-    checks["cubic_space_ninth_point"] = Check(ninth_cubic, {})
+    checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
+    checks.append(Check("cubic_space_ninth_point", ninth_cubic, {}))
 
     sextics = sextic_space(seed)
     expected = [bundle.u * bundle.u, bundle.u * bundle.v, bundle.v * bundle.v, bundle.w]
     sextic_ok = (
         len(sextics) == 4
-        and all(form_in_span(f, sextics, 6) for f in expected)
-        and forms_independent(expected, 6)
+        and forms_rank(expected, 6) == 4
+        and forms_rank(sextics + expected, 6) == 4
     )
-    checks["sextic_space_dimension"] = Check(sextic_ok, {"dimension": len(sextics)})
+    checks.append(Check("sextic_space_dimension", sextic_ok, {"dimension": len(sextics)}))
     w_ninth = bundle.w.eval(0, 0, 1)
-    checks["w_ninth_point_value"] = Check(
+    checks.append(Check(
+        "w_ninth_point_value",
         w_ninth == seed.h0 ** 2 and w_ninth != 0,
-        {"value": frac_str(w_ninth), "expected": frac_str(seed.h0 ** 2)},
-    )
+        {"value": w_ninth, "expected": seed.h0 ** 2},
+    ))
     sq_vanish = all(f.eval(0, 0, 1) == 0 for f in expected[:3])
-    checks["pencil_squares_vanish_at_ninth_point"] = Check(sq_vanish, {})
+    checks.append(Check("pencil_squares_vanish_at_ninth_point", sq_vanish, {}))
 
     w_vanish = all(
         tri_eval_param(_apply_ops(bundle.w, op), h).is_zero
         for op in ("", "x", "y", "z")
     )
-    checks["w_vanishes_doubly_on_points"] = Check(w_vanish, {})
+    checks.append(Check("w_vanishes_doubly_on_points", w_vanish, {}))
 
     qdeg = bundle.q_form.total_degree
-    checks["model_degree"] = Check(qdeg == 9, {"degree": qdeg})
+    checks.append(Check("model_degree", qdeg == 9, {"degree": qdeg}))
 
     mult = multiplicity_report(bundle)
-    checks["vanishing_to_order_2"] = Check(
-        mult.vanishing_to_order_2, {"failed_derivative": mult.failed_derivative}
-    )
-    checks["multiplicity_exactly_3"] = Check(
-        mult.multiplicity_exactly_3,
-        {"order3_gcd": uni_coeff_strs(mult.order3_gcd)},
-    )
+    checks.append(Check(
+        "vanishing_to_order_2",
+        mult.vanishing_to_order_2,
+        {"failed_derivative": mult.failed_derivative},
+    ))
+    checks.append(Check(
+        "multiplicity_exactly_3", mult.multiplicity_exactly_3, {"order3_gcd": mult.order3_gcd}
+    ))
 
     if qdeg == 9 and mult.multiplicity_exactly_3:
         genus = genus_of_model(9, [3] * 8)
-        checks["genus"] = Check(genus == 4, {"genus": genus})
+        checks.append(Check("genus", genus == 4, {"genus": genus}))
         dich = perfect_power_dichotomy(bundle.q_form)
-        checks["perfect_power_dichotomy"] = Check(
-            dich.verdict == "neither", {"verdict": dich.verdict}
-        )
+        checks.append(Check(
+            "perfect_power_dichotomy", dich.verdict == "neither", {"verdict": dich.verdict}
+        ))
     else:
-        checks["genus"] = Check(False, {"reason": "model degenerate"})
-        checks["perfect_power_dichotomy"] = Check(False, {"reason": "model degenerate"})
+        checks.append(Check("genus", False, {"reason": "model degenerate"}))
+        checks.append(Check("perfect_power_dichotomy", False, {"reason": "model degenerate"}))
 
-    return VerificationReport(checks)
+    return checks

@@ -154,7 +154,8 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
             f = fp_divexact(f, g, p)
             xq = fp_rem(xq, f, p)
     ct = CycleType(p, tuple(sorted(parts)))
-    assert ct.degree == h.degree
+    if ct.degree != h.degree:
+        raise ArithmeticError(f"factor degrees {ct.parts} do not add up to {h.degree}")
     return ct
 
 

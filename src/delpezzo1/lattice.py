@@ -2,10 +2,11 @@
 
 Covers the rank-(10-d) odd hyperbolic lattice with its distinguished
 vector omega = -3 e_0 + e_1 + ... + e_{9-d}, the orthogonal complement
-(the E8 or E7 root lattice with reversed sign), symmetric-group
-isometries fixing omega, the blow-up model of the rank-9 Picard lattice,
-short-vector enumeration with exact rational bounds, and the mod-2
-quadratic-form census together with the independence lemma for tuples
+(the E8 or E7 root lattice with reversed sign), short-vector enumeration
+with exact rational bounds, and four checks returned as
+:class:`~delpezzo1.serialize.Check` values: the mod-2 identification of
+the complement with F2^8, the blow-up model of the rank-9 Picard lattice,
+the mod-2 quadratic-form census, and the independence lemma for tuples
 pairing to 1.
 """
 
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import bareiss_det, f2_det, f2_rank, int_functional_kernel
+from .serialize import Check
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -181,55 +183,6 @@ def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
     return sorted(found)
 
 
-# -- symmetric-group isometries -------------------------------------------
-
-
-def perm_isometry(tau: tuple[int, ...], d: int) -> Matrix:
-    """Matrix of e_0 -> e_0, e_i -> e_{tau(i)} on the rank-(10-d) lattice.
-
-    `tau` lists the images of 1..9-d (1-based).
-    """
-    n = 9 - d
-    if sorted(tau) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}")
-    size = n + 1
-    rows = [[0] * size for _ in range(size)]
-    rows[0][0] = 1
-    for i, image in enumerate(tau, start=1):
-        rows[image][i] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def perm_compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    """sigma after tau, matching matrix multiplication of the isometries."""
-    return tuple(sigma[t - 1] for t in tau)
-
-
-def apply_matrix(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def is_isometry(lat: IntLattice, m: Matrix) -> bool:
-    n = lat.rank
-    g = lat.gram
-    for i in range(n):
-        for j in range(n):
-            val = sum(
-                m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n)
-            )
-            if val != g[i][j]:
-                return False
-    return True
-
-
 # -- F2 machinery -----------------------------------------------------------
 
 
@@ -275,21 +228,6 @@ def check_pairing_tuple(space: F2Space, vectors: list[int]) -> tuple[bool, bool]
     return independent, vanish_ok
 
 
-@dataclass(frozen=True)
-class LinalgLemmaReport:
-    instances: int
-    independence_failures: int
-    vanish_failures: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.instances > 0
-            and self.independence_failures == 0
-            and self.vanish_failures == 0
-        )
-
-
 def _diagonal_free(space: F2Space) -> list[int]:
     return [v for v in range(1, 1 << space.dim) if space.pair(v, v) == 0]
 
@@ -300,14 +238,15 @@ def linalg_lemma_check(
     trials: int = 0,
     rng: random.Random | None = None,
     exhaustive: bool = False,
-) -> LinalgLemmaReport:
+) -> Check:
     """Verify independence of m-tuples pairing to 1 off the diagonal.
 
     Tuples of vectors with pair(z, z) = 0 and pairwise pairing 1 are
     generated either exhaustively (meant for m = 2 in small dimension) or
     by seeded rejection sampling; each is checked for linear independence
     and for the direct vanishing property.  m must be even; any failure
-    would contradict the lemma and is reported, never repaired.
+    would contradict the lemma and is reported, never repaired.  The
+    witness counts instances, independence failures and vanish failures.
     """
     if m % 2:
         raise ValueError("m must be even")
@@ -325,49 +264,37 @@ def linalg_lemma_check(
             indep, vanish = check_pairing_tuple(space, [z1, z2])
             bad_indep += not indep
             bad_vanish += not vanish
-        return LinalgLemmaReport(instances, bad_indep, bad_vanish)
-    if rng is None:
-        rng = random.Random(0)
-    attempts = 0
-    while instances < trials and attempts < trials * 400:
-        attempts += 1
-        tup: list[int] = []
-        for _ in range(m * 40):
-            v = rng.choice(candidates)
-            if all(space.pair(v, z) == 1 for z in tup):
-                tup.append(v)
-                if len(tup) == m:
-                    break
-        if len(tup) < m:
-            continue
-        instances += 1
-        indep, vanish = check_pairing_tuple(space, tup)
-        bad_indep += not indep
-        bad_vanish += not vanish
-    return LinalgLemmaReport(instances, bad_indep, bad_vanish)
+    else:
+        if rng is None:
+            rng = random.Random(0)
+        attempts = 0
+        while instances < trials and attempts < trials * 400:
+            attempts += 1
+            tup: list[int] = []
+            for _ in range(m * 40):
+                v = rng.choice(candidates)
+                if all(space.pair(v, z) == 1 for z in tup):
+                    tup.append(v)
+                    if len(tup) == m:
+                        break
+            if len(tup) < m:
+                continue
+            instances += 1
+            indep, vanish = check_pairing_tuple(space, tup)
+            bad_indep += not indep
+            bad_vanish += not vanish
+    return Check(
+        "independence_lemma",
+        instances > 0 and bad_indep == 0 and bad_vanish == 0,
+        {
+            "instances": instances,
+            "independence_failures": bad_indep,
+            "vanish_failures": bad_vanish,
+        },
+    )
 
 
 # -- named verification bundles ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class F8SReport:
-    complement_dimension: int
-    bijective: bool
-    equivariant_swap: bool
-    equivariant_cycle: bool
-    all_ones_fixed: bool
-    induced_form_rows: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.complement_dimension == 8
-            and self.bijective
-            and self.equivariant_swap
-            and self.equivariant_cycle
-            and self.all_ones_fixed
-        )
 
 
 def _perm_mask(mask: int, tau: tuple[int, ...]) -> int:
@@ -379,7 +306,7 @@ def _perm_mask(mask: int, tau: tuple[int, ...]) -> int:
     return out
 
 
-def f8s_iso_check() -> F8SReport:
+def f8s_iso_check() -> Check:
     """Check the explicit mod-2 identification of the omega-complement.
 
     Inside the 9-dimensional reduction of the rank-9 hyperbolic lattice
@@ -421,29 +348,21 @@ def f8s_iso_check() -> F8SReport:
         )
         for i in range(1, 9)
     )
-    return F8SReport(dim, bijective, eq_swap, eq_cycle, fixed, induced)
+    return Check(
+        "mod2_identification",
+        dim == 8 and bijective and eq_swap and eq_cycle and fixed,
+        {
+            "complement_dimension": dim,
+            "bijective": bijective,
+            "equivariant_swap": eq_swap,
+            "equivariant_cycle": eq_cycle,
+            "all_ones_fixed": fixed,
+            "induced_form_rows": induced,
+        },
+    )
 
 
-@dataclass(frozen=True)
-class PicardReport:
-    canonical_self_pairing: int
-    diag_pairings: tuple[int, ...]
-    off_diag_pairings_ok: bool
-    mod2_independent: bool
-    mod2_gram_det: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.canonical_self_pairing == 1
-            and all(v == -2 for v in self.diag_pairings)
-            and self.off_diag_pairings_ok
-            and self.mod2_independent
-            and self.mod2_gram_det == 1
-        )
-
-
-def picard_model_check(n: int = 8) -> PicardReport:
+def picard_model_check(n: int = 8) -> Check:
     """Gram identities in the blow-up model of the rank-9 Picard lattice.
 
     Basis f_0, l_1, ..., l_n with f_0^2 = 1 and l_b^2 = -1; the canonical
@@ -475,42 +394,28 @@ def picard_model_check(n: int = 8) -> PicardReport:
         sum((lat.pair(vs[i], vs[j]) & 1) << j for j in range(n)) for i in range(n)
     ]
     det = f2_det(mod2_rows, n)
-    return PicardReport(kk, diag, off_ok, independent, det)
+    return Check(
+        "picard_gram",
+        kk == 1 and all(v == -2 for v in diag) and off_ok and independent and det == 1,
+        {
+            "canonical_self_pairing": kk,
+            "diag_pairings": diag,
+            "off_diag_pairings_ok": off_ok,
+            "mod2_independent": independent,
+            "mod2_gram_det": det,
+        },
+    )
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    nonzero_q1: int
-    nonzero_q0: int
-    root_count: int
-    root_class_count: int
-    root_classes_all_q1: bool
-    reflections_preserve_q: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.nonzero_q1 == 120
-            and self.nonzero_q0 == 135
-            and self.root_count == 240
-            and self.root_class_count == 120
-            and self.root_classes_all_q1
-            and self.reflections_preserve_q
-        )
-
-
-def mod2_quadratic_census(d: int = 1) -> CensusReport:
+def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     """Census of q(x) = (x, x)/2 mod 2 on the even complement lattice.
 
+    `lat` is the rank-8 complement and `roots` its norm -2 vectors.
     Enumerates all 255 nonzero mod-2 classes, counts the values of q,
-    identifies the classes hit by the 240 norm -2 vectors, and checks
-    that every root reflection descends to a q-preserving map.
+    identifies the classes hit by the 240 roots, and checks that every
+    root reflection descends to a q-preserving map.  Raises
+    ArithmeticError if `lat` has a vector of odd norm.
     """
-    if d != 1:
-        raise ValueError("the census is defined for d = 1")
-    marked = build_hyperbolic(1)
-    comp = orth_complement(marked.lattice, marked.omega)
-    lat = comp.lattice
     n = lat.rank
 
     def lift(mask: int) -> Vector:
@@ -519,12 +424,12 @@ def mod2_quadratic_census(d: int = 1) -> CensusReport:
     qvals = []
     for mask in range(1 << n):
         norm = lat.norm(lift(mask))
-        assert norm % 2 == 0
+        if norm % 2:
+            raise ArithmeticError(f"odd norm {norm}: q is defined on even lattices only")
         qvals.append((norm // 2) & 1)
     q1 = sum(qvals[m] for m in range(1, 1 << n))
     q0 = (1 << n) - 1 - q1
 
-    roots = enumerate_short_vectors(lat, -2)
     root_masks = sorted({sum((r[i] & 1) << i for i in range(n)) for r in roots})
     roots_q1 = all(qvals[m] == 1 for m in root_masks)
 
@@ -546,4 +451,15 @@ def mod2_quadratic_census(d: int = 1) -> CensusReport:
         if not preserve:
             break
 
-    return CensusReport(q1, q0, len(roots), len(root_masks), roots_q1, preserve)
+    return Check(
+        "mod2_census",
+        (q1, q0, len(roots), len(root_masks)) == (120, 135, 240, 120) and roots_q1 and preserve,
+        {
+            "nonzero_q1": q1,
+            "nonzero_q0": q0,
+            "root_count": len(roots),
+            "root_class_count": len(root_masks),
+            "root_classes_all_q1": roots_q1,
+            "reflections_preserve_q": preserve,
+        },
+    )

@@ -142,10 +142,6 @@ def f2_rank(vectors: list[int]) -> int:
     return len(basis)
 
 
-def f2_independent(vectors: list[int]) -> bool:
-    return f2_rank(vectors) == len(vectors)
-
-
 def f2_det(rows: list[int], n: int) -> int:
     """Determinant over F2 of an n x n bitmask matrix (0 or 1)."""
     m = rows[:]

@@ -17,36 +17,14 @@ Every decision is taken in exact arithmetic; no root is ever computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curve import SeedPoly, U_FORM, build_v
 from .quotient import tri_eval_param
+from .serialize import Check
 from .tripoly import TriPoly
 from .unipoly import root_sum_poly
 
 
-@dataclass(frozen=True)
-class PositionCheck:
-    passed: bool
-    witness: dict
-
-
-@dataclass(frozen=True)
-class PositionReport:
-    collinear: PositionCheck
-    conic: PositionCheck
-    singular_cubic: PositionCheck
-
-    @property
-    def in_general_position(self) -> bool:
-        return (
-            self.collinear.passed
-            and self.conic.passed
-            and self.singular_cubic.passed
-        )
-
-
-def check_three_collinear(seed: SeedPoly) -> PositionCheck:
+def check_three_collinear(seed: SeedPoly) -> Check:
     """No three distinct roots of the seed sum to zero.
 
     Let g(s) run over all ordered pair sums of roots (degree 64) and T(s)
@@ -67,7 +45,7 @@ def check_three_collinear(seed: SeedPoly) -> PositionCheck:
     pair_sums = root_sum_poly(h, h)
     t_at_0 = h.resultant(pair_sums.reflect())
     if t_at_0 != 0:
-        return PositionCheck(True, {"path": "fast", "triple_product": t_at_0})
+        return Check("no_three_collinear", True, {"path": "fast", "triple_product": t_at_0})
     triple_sums = root_sum_poly(h, pair_sums)
     twice_plus = root_sum_poly(h.scale_roots(2), h)
     h3 = h.scale_roots(3)
@@ -79,13 +57,14 @@ def check_three_collinear(seed: SeedPoly) -> PositionCheck:
         "distinct_triples": distinct.degree,
     }
     value = distinct(0)
-    return PositionCheck(
+    return Check(
+        "no_three_collinear",
         value != 0,
         {"path": "deflated", "distinct_triple_product": value, "degrees": degrees},
     )
 
 
-def check_six_conic(seed: SeedPoly) -> PositionCheck:
+def check_six_conic(seed: SeedPoly) -> Check:
     """No six points on a conic: no two roots of the seed sum to zero.
 
     Because the t^7 coefficient vanishes, all eight roots sum to zero, so
@@ -93,12 +72,12 @@ def check_six_conic(seed: SeedPoly) -> PositionCheck:
     a root a with -a, i.e. makes gcd(h(t), h(-t)) nonconstant.
     """
     g = seed.h.gcd(seed.h.reflect())
-    return PositionCheck(g.degree == 0, {"paired_root_factor": g})
+    return Check("no_six_on_conic", g.degree == 0, {"paired_root_factor": g})
 
 
 def check_singular_cubic(
     seed: SeedPoly, pencil_partner: TriPoly | None = None
-) -> PositionCheck:
+) -> Check:
     """No cubic through all eight points is singular at one of them.
 
     Every cubic through the points lies in the pencil spanned by
@@ -112,8 +91,8 @@ def check_singular_cubic(
     """
     h = seed.h
     v = pencil_partner if pencil_partner is not None else build_v(seed)
-    row_u = [tri_eval_param(U_FORM.derivative(s), h).rep for s in ("x", "y", "z")]
-    row_v = [tri_eval_param(v.derivative(s), h).rep for s in ("x", "y", "z")]
+    row_u = [tri_eval_param(U_FORM.derivative(s), h) for s in ("x", "y", "z")]
+    row_v = [tri_eval_param(v.derivative(s), h) for s in ("x", "y", "z")]
     minors = [
         (row_u[a] * row_v[b] - row_u[b] * row_v[a]) % h
         for a, b in ((0, 1), (0, 2), (1, 2))
@@ -124,12 +103,11 @@ def check_singular_cubic(
             g = g.gcd(m)
             if g.degree == 0:
                 break
-    return PositionCheck(g.degree == 0, {"dependent_gradient_factor": g})
-
-
-def position_report(seed: SeedPoly) -> PositionReport:
-    return PositionReport(
-        collinear=check_three_collinear(seed),
-        conic=check_six_conic(seed),
-        singular_cubic=check_singular_cubic(seed),
+    return Check(
+        "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}
     )
+
+
+def position_checks(seed: SeedPoly) -> list[Check]:
+    """The three general-position checks: collinear, conic, singular cubic."""
+    return [check_three_collinear(seed), check_six_conic(seed), check_singular_cubic(seed)]

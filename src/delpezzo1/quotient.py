@@ -1,102 +1,22 @@
-"""Arithmetic in Q[t]/(h): canonical representatives, inverses, evaluation.
+"""Reduction modulo the seed polynomial h, and evaluation at (t^3, t, 1).
 
-Reducing modulo the seed polynomial h evaluates a statement "at every
-root of h" in a single exact computation: an element of the quotient ring
-is zero exactly when the underlying polynomial vanishes at all roots.
+Reducing modulo h evaluates a statement "at every root of h" in a single
+exact computation: the canonical remainder of a polynomial is zero
+exactly when the polynomial vanishes at all roots of a squarefree h.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .tripoly import TriPoly
 from .unipoly import UniPoly
 
 
-class NotInvertible(ArithmeticError):
-    """Raised when inversion meets a zero divisor.
-
-    Carries the nontrivial monic factor of the modulus that the extended
-    gcd surfaced, which is itself useful evidence (the modulus is
-    reducible, or the element genuinely shares a root with it).
-    """
-
-    def __init__(self, factor: UniPoly):
-        super().__init__(f"zero divisor; shared factor {factor!r}")
-        self.factor = factor
-
-
-@dataclass(frozen=True)
-class QuotElem:
-    """Element of Q[t]/(modulus), stored as the canonical remainder."""
-
-    rep: UniPoly
-    modulus: UniPoly
-
-    def __post_init__(self):
-        if self.modulus.is_zero:
-            raise ValueError("zero modulus")
-        if self.rep.degree >= self.modulus.degree:
-            raise ValueError("representative is not reduced")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    def _check(self, other: QuotElem):
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: QuotElem) -> QuotElem:
-        self._check(other)
-        return QuotElem(self.rep + other.rep, self.modulus)
-
-    def __sub__(self, other: QuotElem) -> QuotElem:
-        self._check(other)
-        return QuotElem(self.rep - other.rep, self.modulus)
-
-    def __mul__(self, other: QuotElem) -> QuotElem:
-        self._check(other)
-        return QuotElem((self.rep * other.rep) % self.modulus, self.modulus)
-
-    def inverse(self) -> QuotElem:
-        return qr_inverse(self)
-
-
-def qr_reduce(f: UniPoly, h: UniPoly) -> QuotElem:
+def qr_reduce(f: UniPoly, h: UniPoly) -> UniPoly:
     """Canonical representative of f in Q[t]/(h); f minus it is divisible by h."""
-    return QuotElem(f % h, h)
+    return f % h
 
 
-def _xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly([1]), UniPoly()
-    t0, t1 = UniPoly(), UniPoly([1])
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
-def qr_inverse(a: QuotElem) -> QuotElem:
-    """Multiplicative inverse via extended gcd.
-
-    Raises :class:`NotInvertible` carrying gcd(rep, modulus) when the
-    element is a zero divisor.
-    """
-    if a.is_zero:
-        raise ZeroDivisionError("inverse of zero in the quotient ring")
-    g, s, _ = _xgcd(a.rep, a.modulus)
-    if g.degree > 0:
-        raise NotInvertible(g.monic())
-    inv = s * (1 / g.lc)
-    return QuotElem(inv % a.modulus, a.modulus)
-
-
-def tri_eval_param(form: TriPoly, h: UniPoly) -> QuotElem:
+def tri_eval_param(form: TriPoly, h: UniPoly) -> UniPoly:
     """Evaluate a form at (t^3, t, 1) and reduce modulo h.
 
     The result is zero exactly when the form vanishes at every point

@@ -1,17 +1,34 @@
-"""Canonical, byte-stable serialization of forms and reports.
+"""Checks and their canonical, byte-stable serialization.
 
-Numbers are decimal strings (never floats), monomials are listed in
-descending graded-lex order, and JSON keys are sorted, so two runs on any
-platform emit identical bytes.
+Every finitely checkable fact is a :class:`Check`: a name, a verdict and
+the witness that decided it, holding raw values.  Conversion to JSON
+values happens once, at render time, in :func:`jsonable`.  Numbers are
+decimal strings (never floats), monomials are listed in descending
+graded-lex order, and JSON keys are sorted, so two runs on any platform
+emit identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .tripoly import TriPoly
 from .unipoly import UniPoly
+
+
+@dataclass(frozen=True)
+class Check:
+    """One checked fact: its name, its verdict and the witness that decided it.
+
+    `witness` holds raw values (Fraction, UniPoly, ...); None means the
+    evidence is reported in a block of its own.
+    """
+
+    name: str
+    passed: bool
+    witness: dict | None
 
 
 def frac_str(q: Fraction | int) -> str:
@@ -25,21 +42,30 @@ def parse_frac(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def tri_terms(form: TriPoly) -> list[dict]:
-    """Monomial list [{"e": [i, j, k], "c": "coeff"}, ...], leading first."""
-    return [
-        {"e": list(e), "c": frac_str(c)}
-        for e, c in form.sorted_terms()
-    ]
+def jsonable(value):
+    """JSON-ready copy of a payload.
 
-
-def uni_coeff_strs(poly: UniPoly) -> list[str]:
-    """Ascending coefficient strings; the zero polynomial is []."""
-    return [frac_str(c) for c in poly.coeffs]
+    Fractions become decimal strings, a UniPoly its ascending coefficient
+    strings ([] for zero), and a TriPoly its monomial list
+    [{"e": [i, j, k], "c": "coeff"}, ...], leading term first.
+    """
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, UniPoly):
+        return [frac_str(c) for c in value.coeffs]
+    if isinstance(value, TriPoly):
+        return [{"e": list(e), "c": frac_str(c)} for e, c in value.sorted_terms()]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    return str(value)
 
 
 def to_canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def _flatten(prefix: str, value, out: list[str]):
@@ -55,5 +81,5 @@ def _flatten(prefix: str, value, out: list[str]):
 def to_text(payload: dict) -> str:
     """Line-per-field rendering mirroring the JSON structure."""
     lines: list[str] = []
-    _flatten("", payload, lines)
+    _flatten("", jsonable(payload), lines)
     return "\n".join(lines) + "\n"

@@ -99,3 +99,11 @@ def float_position_oracle(seed: SeedPoly) -> dict[str, bool]:
         rank_vals.append(max(abs(m) for m in minors))
     cubic = _certified_nonzero(rank_vals)
     return {"collinear": triple, "conic": pair, "singular_cubic": cubic}
+
+
+def position_verdicts(seed: SeedPoly) -> dict[str, bool]:
+    """The exact general-position verdicts, keyed like float_position_oracle."""
+    from delpezzo1.position import position_checks
+
+    keys = ("collinear", "conic", "singular_cubic")
+    return {key: check.passed for key, check in zip(keys, position_checks(seed))}

@@ -18,6 +18,7 @@ from conftest import (
     SLOW_PATH_GOOD,
     X8_COEFFS,
     float_position_oracle,
+    position_verdicts,
     random_valid_seed,
 )
 from delpezzo1 import (
@@ -33,12 +34,11 @@ from delpezzo1 import (
     mod2_quadratic_census,
     multiplicity_report,
     perfect_power_dichotomy,
-    position_report,
     sextic_space,
     standard_space,
     validate_seed,
 )
-from delpezzo1.curve import build_v, form_in_span
+from delpezzo1.curve import build_v, forms_rank
 from delpezzo1.lattice import (
     build_hyperbolic,
     enumerate_short_vectors,
@@ -118,19 +118,20 @@ def test_criterion_2_linear_system_dimensions():
     rng = random.Random(20250810)
     while len(seeds) < 11:
         cand = random_valid_seed(rng)
-        if position_report(cand).in_general_position:
+        if all(position_verdicts(cand).values()):
             seeds.append(cand)
     ok = True
     for seed in seeds:
         cubics = cubic_space(seed)
         v = build_v(seed)
         ok &= len(cubics) == 2
-        ok &= form_in_span(U_FORM, cubics, 3) and form_in_span(v, cubics, 3)
+        for f in (U_FORM, v):
+            ok &= forms_rank(cubics + [f], 3) == forms_rank(cubics, 3)
         bundle = build_bundle(seed)
         sextics = sextic_space(seed)
         ok &= len(sextics) == 4
         for f in (bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w):
-            ok &= form_in_span(f, sextics, 6)
+            ok &= forms_rank(sextics + [f], 6) == forms_rank(sextics, 6)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     report(2, f"linear-system dimensions ({elapsed:.2f}s)", ok)
@@ -155,17 +156,14 @@ def test_criterion_3_branch_model_facts():
 def test_criterion_4_general_position_and_controls():
     t0 = time.perf_counter()
     seed = validate_seed(X8_COEFFS)
-    rep = position_report(seed)
-    ok = rep.in_general_position
-    ok &= rep.collinear.witness["path"] == "fast"
+    ok = all(position_verdicts(seed).values())
+    ok &= check_three_collinear(seed).witness["path"] == "fast"
 
-    bad_triple = position_report(validate_seed(COLLINEAR_BAD))
-    ok &= not bad_triple.collinear.passed
-    ok &= bad_triple.conic.passed and bad_triple.singular_cubic.passed
+    bad_triple = position_verdicts(validate_seed(COLLINEAR_BAD))
+    ok &= bad_triple == {"collinear": False, "conic": True, "singular_cubic": True}
 
-    bad_pair = position_report(validate_seed(CONIC_BAD))
-    ok &= not bad_pair.conic.passed
-    ok &= bad_pair.collinear.passed and bad_pair.singular_cubic.passed
+    bad_pair = position_verdicts(validate_seed(CONIC_BAD))
+    ok &= bad_pair == {"collinear": True, "conic": False, "singular_cubic": True}
 
     degenerate = check_singular_cubic(seed, pencil_partner=U_FORM)
     ok &= not degenerate.passed
@@ -185,13 +183,7 @@ def test_criterion_5_oracle_cross_validation():
     agreements = 0
     for _ in range(50):
         seed = random_valid_seed(rng)
-        rep = position_report(seed)
-        oracle = float_position_oracle(seed)
-        if (
-            oracle["collinear"] == rep.collinear.passed
-            and oracle["conic"] == rep.conic.passed
-            and oracle["singular_cubic"] == rep.singular_cubic.passed
-        ):
+        if float_position_oracle(seed) == position_verdicts(seed):
             agreements += 1
     report(5, f"floating-oracle agreement {agreements}/50", agreements == 50)
 
@@ -217,15 +209,15 @@ def test_criterion_7_lattice_suite():
         comp = orth_complement(marked.lattice, marked.omega)
         ok &= comp.lattice.rank == rank
         ok &= abs(comp.lattice.determinant) == det
+        roots = enumerate_short_vectors(comp.lattice, -2)
         if d == 1:
             ok &= comp.lattice.is_even
-        ok &= len(enumerate_short_vectors(comp.lattice, -2)) == count
+            ok &= mod2_quadratic_census(comp.lattice, roots).passed
+        ok &= len(roots) == count
     pic = picard_model_check()
     ok &= pic.passed
     f8s = f8s_iso_check()
     ok &= f8s.passed
-    census = mod2_quadratic_census()
-    ok &= census.passed
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     report(7, f"lattice suite ({elapsed:.2f}s)", ok)
@@ -234,14 +226,14 @@ def test_criterion_7_lattice_suite():
 def test_criterion_8_independence_lemma_suite():
     ok = True
     for dim in (1, 2, 3, 4):
-        rep = linalg_lemma_check(standard_space(dim), 2, exhaustive=True)
-        ok &= rep.independence_failures == 0 and rep.vanish_failures == 0
+        rep = linalg_lemma_check(standard_space(dim), 2, exhaustive=True).witness
+        ok &= rep["independence_failures"] == 0 and rep["vanish_failures"] == 0
     rng = random.Random(1009)
     total = 0
     for m, trials in ((2, 400), (4, 400), (6, 200)):
-        rep = linalg_lemma_check(standard_space(8), m, trials=trials, rng=rng)
-        ok &= rep.passed and rep.instances == trials
-        total += rep.instances
+        check = linalg_lemma_check(standard_space(8), m, trials=trials, rng=rng)
+        ok &= check.passed and check.witness["instances"] == trials
+        total += check.witness["instances"]
     ok &= total == 1000
     report(8, f"independence lemma suite ({total} randomized trials)", ok)
 

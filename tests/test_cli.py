@@ -1,11 +1,21 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import COLLINEAR_BAD, X8_COEFFS
 from delpezzo1.cli import main
 
 X8_POLY = ",".join(str(c) for c in X8_COEFFS)
+
+# Exit code and SHA-256 of stdout for every subcommand and format, on the
+# worked seed, a p/q seed, the deflated collinearity path, an inconclusive
+# Galois run and both lattice degrees.  Any change to these bytes is a
+# change to the canonical output format.
+DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
 
 
 def run_cli(args):
@@ -75,7 +85,7 @@ def test_no_floats_anywhere(capsys):
     walk(json.loads(out))
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     # t^7 coefficient present: invalid input
     bad = run_cli(["construct", "--poly", "-1,-1,0,0,0,0,0,1,1"])
     assert bad.returncode == 2
@@ -95,6 +105,16 @@ def test_exit_codes():
     wrong = run_cli(["construct", "--poly", "1,2,3"])
     assert wrong.returncode == 2
     assert "wrong-count" in wrong.stderr
+    # values too long to print as decimal strings: invalid input, not a crash
+    tall = run_cli(["verify", "--poly", "1e400,1,0,0,0,0,0,0,1", "--prime-bound", "20"])
+    assert tall.returncode == 2
+    assert len(tall.stderr.splitlines()) == 1
+    # report file in a missing directory: I/O error, one line, no traceback
+    missing = tmp_path / "missing" / "report.json"
+    unwritable = run_cli(["lattice", "--d", "2", "--output", str(missing)])
+    assert unwritable.returncode == 3
+    assert unwritable.stdout == ""
+    assert len(unwritable.stderr.splitlines()) == 1
 
 
 def test_galois_subcommand(capsys):
@@ -135,3 +155,11 @@ def test_verify_runs_are_byte_identical():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.encode() == b.stdout.encode()
+
+
+@pytest.mark.parametrize("case", DIGESTS, ids=lambda case: " ".join(case["argv"]))
+def test_output_bytes_match_recorded_digests(case, capsys):
+    code = main(case["argv"])
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

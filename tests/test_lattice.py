@@ -4,18 +4,14 @@ import pytest
 
 from delpezzo1.lattice import (
     F2Space,
-    apply_matrix,
+    IntLattice,
     build_hyperbolic,
     check_pairing_tuple,
     enumerate_short_vectors,
     f8s_iso_check,
-    is_isometry,
     linalg_lemma_check,
-    mat_mul,
     mod2_quadratic_census,
     orth_complement,
-    perm_compose,
-    perm_isometry,
     picard_model_check,
     standard_space,
 )
@@ -116,57 +112,32 @@ class TestShortVectors:
         assert counts == {-2: 1, -1: 56, 0: 126, 1: 56, 2: 1}
 
 
-class TestPermIsometry:
-    def test_identity(self):
-        m = perm_isometry(tuple(range(1, 9)), 1)
-        assert all(m[i][i] == 1 for i in range(9))
-
-    def test_swap_is_isometry_fixing_omega(self):
-        marked = build_hyperbolic(1)
-        tau = (2, 1, 3, 4, 5, 6, 7, 8)
-        m = perm_isometry(tau, 1)
-        assert is_isometry(marked.lattice, m)
-        assert apply_matrix(m, marked.omega) == marked.omega
-
-    def test_homomorphism_on_random_pairs(self):
-        rng = random.Random(83)
-        base = list(range(1, 9))
-        for _ in range(100):
-            sigma = tuple(rng.sample(base, 8))
-            tau = tuple(rng.sample(base, 8))
-            lhs = perm_isometry(perm_compose(sigma, tau), 1)
-            rhs = mat_mul(perm_isometry(sigma, 1), perm_isometry(tau, 1))
-            assert lhs == rhs
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            perm_isometry((1, 1, 3, 4, 5, 6, 7, 8), 1)
-
-
 class TestF8S:
     def test_full_report(self):
-        rep = f8s_iso_check()
-        assert rep.complement_dimension == 8
-        assert rep.bijective
-        assert rep.equivariant_swap and rep.equivariant_cycle
-        assert rep.all_ones_fixed
-        assert rep.passed
+        check = f8s_iso_check()
+        rep = check.witness
+        assert rep["complement_dimension"] == 8
+        assert rep["bijective"]
+        assert rep["equivariant_swap"] and rep["equivariant_cycle"]
+        assert rep["all_ones_fixed"]
+        assert check.passed
 
     def test_induced_form_is_ones_off_diagonal(self):
-        rep = f8s_iso_check()
-        for i, row in enumerate(rep.induced_form_rows):
+        rep = f8s_iso_check().witness
+        for i, row in enumerate(rep["induced_form_rows"]):
             assert row == (0xFF ^ (1 << i))
 
 
 class TestPicard:
     def test_gram_identities(self):
-        rep = picard_model_check()
-        assert rep.canonical_self_pairing == 1
-        assert rep.diag_pairings == (-2,) * 8
-        assert rep.off_diag_pairings_ok
-        assert rep.mod2_independent
-        assert rep.mod2_gram_det == 1
-        assert rep.passed
+        check = picard_model_check()
+        rep = check.witness
+        assert rep["canonical_self_pairing"] == 1
+        assert rep["diag_pairings"] == (-2,) * 8
+        assert rep["off_diag_pairings_ok"]
+        assert rep["mod2_independent"]
+        assert rep["mod2_gram_det"] == 1
+        assert check.passed
 
     def test_mod2_tuple_satisfies_lemma(self):
         # the eight reduced vectors pair to 1 off-diagonal and 0 on it,
@@ -179,19 +150,23 @@ class TestPicard:
 
 class TestCensus:
     def test_counts_and_reflections(self):
-        rep = mod2_quadratic_census()
-        assert rep.nonzero_q1 == 120
-        assert rep.nonzero_q0 == 135
-        assert rep.nonzero_q1 + rep.nonzero_q0 == 255
-        assert rep.root_count == 240
-        assert rep.root_class_count == 120
-        assert rep.root_classes_all_q1
-        assert rep.reflections_preserve_q
-        assert rep.passed
+        marked = build_hyperbolic(1)
+        comp = orth_complement(marked.lattice, marked.omega)
+        check = mod2_quadratic_census(comp.lattice, enumerate_short_vectors(comp.lattice, -2))
+        rep = check.witness
+        assert rep["nonzero_q1"] == 120
+        assert rep["nonzero_q0"] == 135
+        assert rep["nonzero_q1"] + rep["nonzero_q0"] == 255
+        assert rep["root_count"] == 240
+        assert rep["root_class_count"] == 120
+        assert rep["root_classes_all_q1"]
+        assert rep["reflections_preserve_q"]
+        assert check.passed
 
-    def test_only_defined_for_degree_one(self):
-        with pytest.raises(ValueError):
-            mod2_quadratic_census(2)
+    def test_only_defined_for_even_lattices(self):
+        odd = IntLattice(1, ((-1,),), ("e1",))
+        with pytest.raises(ArithmeticError):
+            mod2_quadratic_census(odd, [])
 
     def test_polarization_identity_on_all_pairs(self):
         # q(x + y) = q(x) + q(y) + (x, y) mod 2, checked on every pair
@@ -215,18 +190,18 @@ class TestIndependenceLemma:
     def test_exhaustive_small_dimensions(self):
         total = 0
         for dim in (1, 2, 3, 4):
-            rep = linalg_lemma_check(standard_space(dim), 2, exhaustive=True)
-            assert rep.independence_failures == 0
-            assert rep.vanish_failures == 0
-            total += rep.instances
+            rep = linalg_lemma_check(standard_space(dim), 2, exhaustive=True).witness
+            assert rep["independence_failures"] == 0
+            assert rep["vanish_failures"] == 0
+            total += rep["instances"]
         assert total > 0
 
     def test_randomized_dimension_eight(self):
         rng = random.Random(89)
         for m, trials in ((2, 100), (4, 100), (6, 50)):
-            rep = linalg_lemma_check(standard_space(8), m, trials=trials, rng=rng)
-            assert rep.instances == trials
-            assert rep.passed
+            check = linalg_lemma_check(standard_space(8), m, trials=trials, rng=rng)
+            assert check.witness["instances"] == trials
+            assert check.passed
 
     def test_odd_tuple_size_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from conftest import (
     CONIC_BAD,
     SLOW_PATH_GOOD,
     float_position_oracle,
+    position_verdicts,
     random_valid_seed,
 )
 from delpezzo1 import (
@@ -12,7 +13,6 @@ from delpezzo1 import (
     check_singular_cubic,
     check_six_conic,
     check_three_collinear,
-    position_report,
     validate_seed,
 )
 from delpezzo1.quotient import tri_eval_param
@@ -91,7 +91,7 @@ class TestSingularCubic:
 
     def test_gradient_row_of_cusp_cubic(self, seed_x8):
         h = seed_x8.h
-        row = [tri_eval_param(U_FORM.derivative(s), h).rep for s in ("x", "y", "z")]
+        row = [tri_eval_param(U_FORM.derivative(s), h) for s in ("x", "y", "z")]
         assert row[0] == UniPoly([1])
         assert row[1] == UniPoly([0, 0, -3])
         assert row[2] == UniPoly([0, 0, 0, 2])
@@ -104,20 +104,15 @@ class TestSingularCubic:
 
 class TestNegativeControlsAreIsolated:
     def test_collinear_control_fails_only_collinearity(self):
-        report = position_report(validate_seed(COLLINEAR_BAD))
-        assert not report.collinear.passed
-        assert report.conic.passed
-        assert report.singular_cubic.passed
+        report = position_verdicts(validate_seed(COLLINEAR_BAD))
+        assert report == {"collinear": False, "conic": True, "singular_cubic": True}
 
     def test_conic_control_fails_only_conic(self):
-        report = position_report(validate_seed(CONIC_BAD))
-        assert report.collinear.passed
-        assert not report.conic.passed
-        assert report.singular_cubic.passed
+        report = position_verdicts(validate_seed(CONIC_BAD))
+        assert report == {"collinear": True, "conic": False, "singular_cubic": True}
 
     def test_slow_path_seed_passes_everything(self):
-        report = position_report(validate_seed(SLOW_PATH_GOOD))
-        assert report.in_general_position
+        assert all(position_verdicts(validate_seed(SLOW_PATH_GOOD)).values())
 
 
 class TestFloatingOracleAgreement:
@@ -128,18 +123,10 @@ class TestFloatingOracleAgreement:
     def test_controls_agree(self):
         for coeffs in (COLLINEAR_BAD, CONIC_BAD, SLOW_PATH_GOOD):
             seed = validate_seed(coeffs)
-            report = position_report(seed)
-            oracle = float_position_oracle(seed)
-            assert oracle["collinear"] == report.collinear.passed
-            assert oracle["conic"] == report.conic.passed
-            assert oracle["singular_cubic"] == report.singular_cubic.passed
+            assert float_position_oracle(seed) == position_verdicts(seed)
 
     def test_random_seeds_agree(self):
         rng = random.Random(20240817)
         for _ in range(12):
             seed = random_valid_seed(rng)
-            report = position_report(seed)
-            oracle = float_position_oracle(seed)
-            assert oracle["collinear"] == report.collinear.passed, seed
-            assert oracle["conic"] == report.conic.passed, seed
-            assert oracle["singular_cubic"] == report.singular_cubic.passed, seed
+            assert float_position_oracle(seed) == position_verdicts(seed), seed

@@ -1,9 +1,6 @@
 import random
-from fractions import Fraction
 
-import pytest
-
-from delpezzo1.quotient import NotInvertible, QuotElem, qr_inverse, qr_reduce, tri_eval_param
+from delpezzo1.quotient import qr_reduce, tri_eval_param
 from delpezzo1.tripoly import TriPoly
 from delpezzo1.unipoly import UniPoly
 
@@ -12,12 +9,12 @@ H8 = UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1])
 
 def test_reduce_worked_value():
     f = UniPoly([0, 0, 0, 0, 0, -4, -6, 0, 0, 0, 0, 0, 0, 5])
-    assert qr_reduce(f, H8).rep == UniPoly([0, 0, 0, 0, 0, 1, -1])
+    assert qr_reduce(f, H8) == UniPoly([0, 0, 0, 0, 0, 1, -1])
 
 
 def test_reduce_fixes_low_degree():
     f = UniPoly([1, 2, 3, 4, 5, 6, 7, 8])
-    assert qr_reduce(f, H8).rep == f
+    assert qr_reduce(f, H8) == f
 
 
 def test_reduce_kills_multiples():
@@ -29,7 +26,7 @@ def test_difference_divisible_by_modulus():
     rng = random.Random(23)
     for _ in range(20):
         f = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 20))])
-        r = qr_reduce(f, H8).rep
+        r = qr_reduce(f, H8)
         _, rem = (f - r).divrem(H8)
         assert rem.is_zero
 
@@ -40,60 +37,11 @@ def test_ring_homomorphism_properties():
         f = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 15))])
         g = UniPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 15))])
         red = lambda p: qr_reduce(p, H8)
-        assert red(f * g) == red(red(f).rep * red(g).rep)
-        assert red(f + g).rep == (red(f) + red(g)).rep
-
-
-def test_inverse_of_one():
-    one = qr_reduce(UniPoly([1]), H8)
-    assert qr_inverse(one) == one
-
-
-def test_inverse_of_t_mod_t2_minus_2():
-    mod = UniPoly([-2, 0, 1])
-    t = qr_reduce(UniPoly([0, 1]), mod)
-    inv = qr_inverse(t)
-    assert inv.rep == UniPoly([0, Fraction(1, 2)])
-    assert (t * inv).rep == UniPoly([1])
-
-
-def test_zero_divisor_surfaces_factor():
-    mod = UniPoly([-1, 1]) * UniPoly([-2, 1])  # (t-1)(t-2)
-    elem = qr_reduce(UniPoly([-1, 1]), mod)
-    with pytest.raises(NotInvertible) as info:
-        qr_inverse(elem)
-    assert info.value.factor == UniPoly([-1, 1])
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        qr_inverse(qr_reduce(UniPoly(), H8))
-
-
-def test_random_inverses_multiply_to_one():
-    rng = random.Random(31)
-    for _ in range(15):
-        rep = UniPoly([rng.randint(-5, 5) for _ in range(8)])
-        if rep.is_zero:
-            continue
-        a = qr_reduce(rep, H8)
-        assert (a * qr_inverse(a)).rep == UniPoly([1])
+        assert red(f * g) == red(red(f) * red(g))
+        assert red(f + g) == red(f) + red(g)
 
 
 def test_tri_eval_param_cusp_identity():
     u = TriPoly({(1, 0, 2): 1, (0, 3, 0): -1})
     assert tri_eval_param(u, H8).is_zero
     assert tri_eval_param(u, UniPoly([5, 0, 1])).is_zero  # any modulus
-
-
-def test_equality_requires_identical_modulus():
-    a = qr_reduce(UniPoly([0, 1]), H8)
-    b = qr_reduce(UniPoly([0, 1]), UniPoly([-2, 0, 1]))
-    assert a != b
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_unreduced_representative_rejected():
-    with pytest.raises(ValueError):
-        QuotElem(UniPoly([0] * 8 + [1]), H8)
