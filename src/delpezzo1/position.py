@@ -17,46 +17,63 @@ Every decision is taken in exact arithmetic; no root is ever computed.
 
 from __future__ import annotations
 
+from math import comb
+
 from .curve import SeedPoly, U_FORM, build_v
 from .quotient import tri_eval_param
 from .serialize import Check
 from .tripoly import TriPoly
-from .unipoly import root_sum_poly
+from .unipoly import from_power_sums, power_sums, root_sum_power_sums, root_sum_poly
 
 
 def check_three_collinear(seed: SeedPoly) -> Check:
     """No three distinct roots of the seed sum to zero.
 
-    Let g(s) run over all ordered pair sums of roots (degree 64) and T(s)
-    over all ordered triple sums (degree 512).  If T(0) != 0 no triple at
-    all sums to zero and we are done.  Otherwise some triple WITH REPEATS
-    may be responsible, so the degenerate patterns are divided out: with
-    E(s) covering sums 2a + c (degree 64) and h3(s) covering sums 3a,
-    ordered triples partition as
+    Let pair_sums(s) run over all ordered pair sums of roots (degree 64)
+    and T(s) over all ordered triple sums (degree 512).  If
+    T(0) = Res(h(t), pair_sums(-t)) != 0 no triple at all sums to zero and
+    we are done.  Otherwise some triple WITH REPEATS may be responsible, so
+    the degenerate patterns are split off.  With E(s) covering the sums
+    2a + c (degree 64) and h3(s) the sums 3a, ordered triples partition as
 
-        T = T_distinct * (E / h3)^3 * h3,
+        T = g^6 * (E / h3)^3 * h3,
 
-    because each of the three "two equal" patterns contributes E/h3 and
-    the "all equal" pattern contributes h3.  Hence
-    T_distinct = T * h3^2 / E^3, an exact polynomial division, and the
-    test is T_distinct(0) != 0.
+    where g is the monic degree-56 polynomial of the C(8, 3) sums of
+    distinct unordered triples: each unordered triple appears in six
+    orders, each of the three "two equal" patterns contributes E/h3 and
+    the "all equal" pattern contributes h3.  T itself is never built; on
+    the root power sums p_k the partition reads
+
+        p_k(T) = 6 p_k(g) + 3 p_k(E/h3) + p_k(h3),
+
+    and p_k(T) is the binomial convolution of p_k(h) with p_k(pair_sums),
+    so g follows from its power sums up to k = 56 (the composed-sum method
+    of Bostan, Flajolet, Salvy and Schost).  E/h3 is an exact division,
+    which raises ArithmeticError if h3 does not divide E.  The test is
+    g(0) != 0; the witness reports T_distinct(0) = g(0)^6 and the degrees
+    of T, E, h3 and T_distinct.
     """
     h = seed.h
     pair_sums = root_sum_poly(h, h)
     t_at_0 = h.resultant(pair_sums.reflect())
     if t_at_0 != 0:
         return Check("no_three_collinear", True, {"path": "fast", "triple_product": t_at_0})
-    triple_sums = root_sum_poly(h, pair_sums)
+    count = comb(h.degree, 3)
     twice_plus = root_sum_poly(h.scale_roots(2), h)
     h3 = h.scale_roots(3)
-    distinct = (triple_sums * h3 * h3).exact_div(twice_plus * twice_plus * twice_plus)
+    ordered = root_sum_power_sums(h, pair_sums, count)
+    two_equal = power_sums(twice_plus.exact_div(h3), count)
+    all_equal = power_sums(h3, count)
+    distinct = from_power_sums(
+        [(t - 3 * e - d) / 6 for t, e, d in zip(ordered, two_equal, all_equal)], count
+    )
     degrees = {
-        "triple_sums": triple_sums.degree,
+        "triple_sums": h.degree * pair_sums.degree,
         "degenerate_pairs": twice_plus.degree,
         "triple_roots": h3.degree,
-        "distinct_triples": distinct.degree,
+        "distinct_triples": 6 * distinct.degree,
     }
-    value = distinct(0)
+    value = distinct(0) ** 6
     return Check(
         "no_three_collinear",
         value != 0,

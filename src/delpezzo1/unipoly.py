@@ -338,6 +338,25 @@ def from_power_sums(ps: Sequence[Fraction], degree: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
+def root_sum_power_sums(f: UniPoly, g: UniPoly, count: int) -> list[Fraction]:
+    """Power sums p_0..p_count of a+b over ordered root pairs of (f, g).
+
+    The binomial convolution p_k = sum_i C(k, i) p_i(f) p_{k-i}(g), which
+    is the expansion of sum (a+b)^k over all deg f * deg g pairs.
+    """
+    pf = power_sums(f, count)
+    pg = power_sums(g, count)
+    sums: list[Fraction] = []
+    binom_row = [1]
+    for p in range(count + 1):
+        s = Fraction(0)
+        for i in range(p + 1):
+            s += binom_row[i] * pf[i] * pg[p - i]
+        sums.append(s)
+        binom_row = [1] + [binom_row[j] + binom_row[j + 1] for j in range(p)] + [1]
+    return sums
+
+
 def root_sum_poly(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic polynomial whose roots are a+b over ordered root pairs of (f, g).
 
@@ -350,15 +369,4 @@ def root_sum_poly(f: UniPoly, g: UniPoly) -> UniPoly:
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("root_sum_poly needs positive degrees")
-    total = n * m
-    pf = power_sums(f, total)
-    pg = power_sums(g, total)
-    sums: list[Fraction] = []
-    binom_row = [1]
-    for p in range(total + 1):
-        s = Fraction(0)
-        for i in range(p + 1):
-            s += binom_row[i] * pf[i] * pg[p - i]
-        sums.append(s)
-        binom_row = [1] + [binom_row[j] + binom_row[j + 1] for j in range(p)] + [1]
-    return from_power_sums(sums, total)
+    return from_power_sums(root_sum_power_sums(f, g, n * m), n * m)

@@ -1,9 +1,17 @@
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     COLLINEAR_BAD,
     CONIC_BAD,
     SLOW_PATH_GOOD,
+    X8_COEFFS,
     float_position_oracle,
     position_verdicts,
     random_valid_seed,
@@ -13,6 +21,7 @@ from delpezzo1 import (
     check_singular_cubic,
     check_six_conic,
     check_three_collinear,
+    position_checks,
     validate_seed,
 )
 from delpezzo1.quotient import tri_eval_param
@@ -63,6 +72,58 @@ class TestCollinear:
                         brute *= -(a + b + c)
         check = check_three_collinear(seed)
         assert check.witness["distinct_triple_product"] == brute
+
+
+@st.composite
+def degenerate_root_sets(draw):
+    """Eight distinct nonzero integers summing to zero, with a pair {a, -2a}."""
+    a = draw(st.integers(-12, 12).filter(bool))
+    others = st.integers(-30, 30).filter(bool)
+    rest = draw(st.lists(others, min_size=5, max_size=5, unique=True))
+    roots = [a, -2 * a, *rest]
+    roots.append(-sum(roots))
+    assume(0 not in roots and len(set(roots)) == 8)
+    return roots
+
+
+class TestDeflatedProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(degenerate_root_sets())
+    def test_matches_brute_force_over_distinct_triples(self, roots):
+        h = prod(UniPoly([-r, 1]) for r in roots)
+        check = check_three_collinear(validate_seed(h.coeffs))
+        sums = [a + b + c for a, b, c in combinations(roots, 3)]
+        assert check.witness["path"] == "deflated"
+        assert check.passed == all(sums)
+        assert check.witness["distinct_triple_product"] == prod(sums) ** 6
+        assert check.witness["degrees"] == {
+            "triple_sums": 512,
+            "degenerate_pairs": 64,
+            "triple_roots": 8,
+            "distinct_triples": 336,
+        }
+
+
+class TestRootScaling:
+    """h -> k^8 h(t/k) maps the points by diag(k^3, k, 1): verdicts stay."""
+
+    @pytest.mark.parametrize("k", [2, -1, Fraction(1, 3)], ids=["2", "-1", "1/3"])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [X8_COEFFS, COLLINEAR_BAD, CONIC_BAD, SLOW_PATH_GOOD],
+        ids=["x8", "collinear_bad", "conic_bad", "slow_path_good"],
+    )
+    def test_verdicts_and_witness_scaling(self, coeffs, k):
+        seed = validate_seed(coeffs)
+        base = position_checks(seed)
+        scaled = position_checks(validate_seed(seed.h.scale_roots(k).coeffs))
+        assert [c.passed for c in scaled] == [c.passed for c in base]
+        before, after = base[0].witness, scaled[0].witness
+        assert after["path"] == before["path"]
+        if before["path"] == "fast":
+            assert after["triple_product"] == k**512 * before["triple_product"]
+        else:
+            assert after["distinct_triple_product"] == k**336 * before["distinct_triple_product"]
 
 
 class TestConic:

@@ -10,6 +10,7 @@ from delpezzo1.unipoly import (
     from_power_sums,
     power_sums,
     root_sum_poly,
+    root_sum_power_sums,
 )
 
 H8 = UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1])  # t^8 - t - 1
@@ -193,6 +194,15 @@ class TestPowerSums:
 
 
 class TestRootSumPoly:
+    def test_power_sums_match_brute_force(self):
+        rng = random.Random(19)
+        for _ in range(10):
+            rf = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+            rg = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+            count = rng.randint(0, 12)
+            brute = [sum((a + b) ** k for a in rf for b in rg) for k in range(count + 1)]
+            assert root_sum_power_sums(split_poly(rf), split_poly(rg), count) == brute
+
     def test_split_inputs(self):
         f = split_poly([1, 2])
         g = split_poly([3, 5])
