@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import q_kernel_basis, q_rank
+from .finitefield import PrimeSkip, fp_rem, poly_mod_p
+from .linalg import fp_rank, q_kernel_basis, q_rank
 from .quotient import qr_reduce, tri_eval_param
 from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
@@ -34,6 +35,9 @@ from .unipoly import Scalar, UniPoly
 U_FORM = TriPoly({(1, 0, 2): 1, (0, 3, 0): -1})
 
 _VARS = ("x", "y", "z")
+
+# The prime of the sextic certificate: large, so that a rank drop is rare.
+CERT_PRIME = 2**31 - 1
 
 
 class SeedError(ValueError):
@@ -174,20 +178,24 @@ def _apply_ops(form: TriPoly, ops: str) -> TriPoly:
     return form
 
 
-def _space_through_points(seed: SeedPoly, degree: int, ops: list[str]) -> list[TriPoly]:
+def _constraint_rows(h: UniPoly, degree: int, ops: list[str]) -> list[list[Fraction]]:
+    """One block of deg(h) rows per op: column e is op(monomial e) at (t^3, t, 1) mod h."""
     mons = _monomials(degree)
     rows = []
-    h = seed.h
-    n = h.degree
     for op in ops:
-        block = [[Fraction(0)] * len(mons) for _ in range(n)]
+        block = [[Fraction(0)] * len(mons) for _ in range(h.degree)]
         for col, e in enumerate(mons):
             derived = _apply_ops(TriPoly.monomial(e), op)
             rep = qr_reduce(derived.param_eval(), h)
             for d in range(rep.degree + 1):
                 block[d][col] = rep.coeff(d)
         rows.extend(block)
-    kernel = q_kernel_basis(rows, len(mons))
+    return rows
+
+
+def _space_through_points(seed: SeedPoly, degree: int, ops: list[str]) -> list[TriPoly]:
+    mons = _monomials(degree)
+    kernel = q_kernel_basis(_constraint_rows(seed.h, degree, ops), len(mons))
     return [TriPoly({e: c for e, c in zip(mons, vec) if c != 0}) for vec in kernel]
 
 
@@ -196,13 +204,60 @@ def cubic_space(seed: SeedPoly) -> list[TriPoly]:
     return _space_through_points(seed, 3, [""])
 
 
+def _fp_constraint_rows(h: UniPoly, degree: int, ops: list[str], p: int) -> list[list[int]]:
+    """The matrix of _constraint_rows reduced mod p, built over F_p.
+
+    Column e of block op is c * (t^n mod h) when the op-derivative of the
+    monomial e is c x^i y^j z^k with n = 3i + j.  Raises PrimeSkip when p
+    divides a denominator of h.
+    """
+    hp = poly_mod_p(h, p)
+    powers = [fp_rem([0] * n + [1], hp, p) for n in range(3 * degree + 1)]
+    mons = _monomials(degree)
+    rows = []
+    for op in ops:
+        block = [[0] * len(mons) for _ in range(h.degree)]
+        for col, e in enumerate(mons):
+            for (i, j, _), c in _apply_ops(TriPoly.monomial(e), op).terms.items():
+                for d, r in enumerate(powers[3 * i + j]):
+                    block[d][col] = int(c) * r % p
+        rows.extend(block)
+    return rows
+
+
 def sextic_space(seed: SeedPoly) -> list[TriPoly]:
     """Basis of sextics vanishing with first x- and y-derivatives at the points.
 
     The z-derivative condition is implied by the Euler relation, so only
-    two derivative blocks are imposed beyond plain vanishing.
+    two derivative blocks are imposed beyond plain vanishing: 24 linear
+    conditions on the 28 sextic monomials.
+
+    The common path certifies the basis u^2, uv, v^2, w instead of
+    computing a kernel.  The condition matrix has rational entries whose
+    denominators divide powers of those of h, so when the prime CERT_PRIME
+    divides none of them the matrix reduces mod p and its rank over Q is
+    at least its rank over F_p (a nonzero minor mod p is nonzero).  F_p
+    rank 24 therefore bounds the Q-dimension by 28 - 24 = 4; the four
+    forms lying in the system exactly (reduction modulo h over Q) and
+    being independent over Q then make it exactly 4, with them as a basis.
+    The certificate is one-sided: if p divides a denominator of h, the
+    F_p rank is below 24, a form fails a condition or the forms are
+    dependent, the exact kernel over Q is computed instead.
     """
-    return _space_through_points(seed, 6, ["", "x", "y"])
+    h, p, ops = seed.h, CERT_PRIME, ["", "x", "y"]
+    try:
+        rows = _fp_constraint_rows(h, 6, ops, p)
+    except PrimeSkip:
+        rows = []
+    if fp_rank(rows, p) == 24:
+        v = build_v(seed)
+        forms = [U_FORM * U_FORM, U_FORM * v, v * v, build_w(seed)[0]]
+        in_system = all(
+            tri_eval_param(_apply_ops(f, op), h).is_zero for f in forms for op in ops
+        )
+        if in_system and forms_rank(forms, 6) == 4:
+            return forms
+    return _space_through_points(seed, 6, ops)
 
 
 def forms_rank(forms: list[TriPoly], degree: int) -> int:

@@ -24,6 +24,9 @@ COLLINEAR_BAD = [-40320, 61104, -15508, -8340, 3009, 156, -102, 0, 1]
 CONIC_BAD = [316800, -264240, -145924, 78300, 18609, -3060, -486, 0, 1]
 SLOW_PATH_GOOD = [3131128, -1896786, -1542811, 239940, 71151, -2034, -589, 0, 1]
 
+# the fractional seed the benchmark's verify workload always includes
+FIXED_FRACTION_COEFFS = ["1/6", "-5/12", "7/10", "3/4", "-3/5", "1/15", "2/3", "0", "1"]
+
 
 @pytest.fixture
 def seed_x8() -> SeedPoly:

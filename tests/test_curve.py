@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import X8_COEFFS, random_valid_seed
+from conftest import (
+    COLLINEAR_BAD,
+    CONIC_BAD,
+    FIXED_FRACTION_COEFFS,
+    SLOW_PATH_GOOD,
+    X8_COEFFS,
+    random_valid_seed,
+)
 from delpezzo1 import (
     SeedError,
     TriPoly,
@@ -15,6 +22,7 @@ from delpezzo1 import (
     build_v,
     build_w,
     cubic_space,
+    curve,
     genus_of_model,
     multiplicity_report,
     perfect_power_dichotomy,
@@ -216,6 +224,121 @@ class TestLinearSystems:
             seed = random_valid_seed(rng)
             basis = cubic_space(seed)
             assert forms_rank(basis + [U_FORM], 3) == forms_rank(basis, 3)
+
+
+SEXTIC_OPS = ["", "x", "y"]
+
+# h = t^8 + 2t^6 + 5t^5 - t^3 + 3t^2 + 8t + 4: its sextic condition matrix
+# has rank 20 mod 2 and mod 3, and 24 over Q
+RANK_DROP_COEFFS = [4, 8, 3, -1, 0, 5, 2, 0, 1]
+
+
+def _count_kernel_calls(monkeypatch) -> list[int]:
+    """Record every q_kernel_basis call curve makes, by its row count."""
+    calls: list[int] = []
+    original = curve.q_kernel_basis
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(curve, "q_kernel_basis", counted)
+    return calls
+
+
+def _pencil_basis(seed):
+    bundle = build_bundle(seed)
+    return [bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w]
+
+
+class TestSexticCertificate:
+    def test_spans_the_exact_kernel(self):
+        rng = random.Random(67)
+        seeds = [random_valid_seed(rng) for _ in range(10)]
+        seeds.append(validate_seed(FIXED_FRACTION_COEFFS))
+        seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
+        for seed in seeds:
+            basis = sextic_space(seed)
+            oracle = curve._space_through_points(seed, 6, SEXTIC_OPS)
+            assert len(basis) == 4
+            assert forms_rank(basis, 6) == forms_rank(oracle, 6) == forms_rank(basis + oracle, 6)
+
+    def test_fp_rows_reduce_the_exact_rows(self):
+        p = curve.CERT_PRIME
+        for coeffs in (X8_COEFFS, FIXED_FRACTION_COEFFS):
+            h = validate_seed(coeffs).h
+            exact = curve._constraint_rows(h, 6, SEXTIC_OPS)
+            reduced = [[c.numerator * pow(c.denominator, -1, p) % p for c in row] for row in exact]
+            assert curve._fp_constraint_rows(h, 6, SEXTIC_OPS, p) == reduced
+
+    @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
+    def test_certified_path_computes_no_kernel(self, coeffs, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        seed = validate_seed(coeffs)
+        assert forms_rank(sextic_space(seed) + _pencil_basis(seed), 6) == 4
+        assert calls == []
+
+    def test_prime_in_a_denominator_falls_back(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        seed = validate_seed([-1, Fraction(1, curve.CERT_PRIME), 0, 0, 0, 0, 0, 0, 1])
+        basis = sextic_space(seed)
+        assert calls == [24]
+        assert len(basis) == 4
+        assert forms_rank(basis + _pencil_basis(seed), 6) == 4
+
+    @pytest.mark.parametrize(
+        "wrong_w",
+        [lambda w: w + TriPoly.monomial((0, 0, 6)), lambda w: U_FORM * U_FORM],
+        ids=["not_in_system", "dependent"],
+    )
+    def test_wrong_candidate_falls_back(self, wrong_w, monkeypatch):
+        seed = validate_seed(X8_COEFFS)
+        w, *audit = build_w(seed)
+        monkeypatch.setattr(curve, "build_w", lambda _: (wrong_w(w), *audit))
+        calls = _count_kernel_calls(monkeypatch)
+        basis = sextic_space(seed)
+        assert calls == [24]
+        assert forms_rank(basis + [U_FORM**2, w], 6) == 4
+
+    # X8 keeps rank 24 mod 2 and mod 3, so only its cubic kernel is
+    # computed; the fraction (denominators divisible by 2 and 3) and the
+    # rank drop both fall back to the exact sextic kernel
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        ("coeffs", "kernel_rows"),
+        [(X8_COEFFS, [8]), (FIXED_FRACTION_COEFFS, [8, 24]), (RANK_DROP_COEFFS, [8, 24])],
+        ids=["x8", "fraction", "rank_drop"],
+    )
+    def test_small_primes_give_the_same_checks(self, coeffs, kernel_rows, p, monkeypatch):
+        seed = validate_seed(coeffs)
+        base = verify_bundle(build_bundle(seed))
+        monkeypatch.setattr(curve, "CERT_PRIME", p)
+        calls = _count_kernel_calls(monkeypatch)
+        patched = verify_bundle(build_bundle(seed))
+        assert [(c.name, c.passed, c.witness) for c in patched] == [
+            (c.name, c.passed, c.witness) for c in base
+        ]
+        assert calls == kernel_rows
+
+
+class TestRootScaling:
+    """h -> k^8 h(t/k) maps the points by diag(k^3, k, 1): verify verdicts stay."""
+
+    @pytest.mark.parametrize("k", [2, -1, Fraction(1, 3)], ids=["2", "-1", "1/3"])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [X8_COEFFS, COLLINEAR_BAD, CONIC_BAD, SLOW_PATH_GOOD],
+        ids=["x8", "collinear_bad", "conic_bad", "slow_path_good"],
+    )
+    def test_verify_verdicts_unchanged(self, coeffs, k, monkeypatch):
+        seed = validate_seed(coeffs)
+        base = verify_bundle(build_bundle(seed))
+        calls = _count_kernel_calls(monkeypatch)
+        scaled = verify_bundle(build_bundle(validate_seed(seed.h.scale_roots(k).coeffs)))
+        assert [(c.name, c.passed) for c in scaled] == [(c.name, c.passed) for c in base]
+        # only the cubic system computes a kernel; k = 1/3 certifies the
+        # sextic system on fractional coefficients
+        assert calls == [8]
 
 
 class TestMultiplicity:

@@ -1,8 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import position_verdicts, random_valid_seed
+from conftest import (
+    COLLINEAR_BAD,
+    CONIC_BAD,
+    SLOW_PATH_GOOD,
+    X8_COEFFS,
+    position_verdicts,
+    random_valid_seed,
+)
 from delpezzo1 import certify_galois, validate_seed
 from delpezzo1.galois import A8_CERTIFIED, INCONCLUSIVE, S8_CERTIFIED
 
@@ -94,3 +102,21 @@ def test_discriminant_sign_matches_sympy(seed_x8):
     t = sp.Symbol("t")
     expr = sum(int(c) * t**i for i, c in enumerate(seed_x8.h.coeffs))
     assert sp.discriminant(expr, t) == -17600759
+
+
+@pytest.mark.parametrize("k", [2, -1, Fraction(1, 3)], ids=["2", "-1", "1/3"])
+@pytest.mark.parametrize(
+    "coeffs",
+    [X8_COEFFS, COLLINEAR_BAD, CONIC_BAD, SLOW_PATH_GOOD],
+    ids=["x8", "collinear_bad", "conic_bad", "slow_path_good"],
+)
+def test_root_scaling(coeffs, k):
+    # h -> k^8 h(t/k) scales every root by k: each of the 28 squared root
+    # differences gains k^2, and the group (hence an S8/A8 verdict) stays
+    seed = validate_seed(coeffs)
+    base = certify_galois(seed, 500)
+    scaled = certify_galois(validate_seed(seed.h.scale_roots(k).coeffs), 500)
+    assert scaled.discriminant == k**56 * base.discriminant
+    assert scaled.disc_is_square == base.disc_is_square
+    if base.certified and scaled.certified:
+        assert scaled.verdict == base.verdict
