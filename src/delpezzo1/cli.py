@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .curve import SeedError, SeedPoly, build_bundle, validate_seed, verify_bundle
+from .curve import SeedError, SeedPoly, build_bundle, build_v, validate_seed, verify_bundle
 from .galois import certify_galois
 from .lattice import (
     build_hyperbolic,
@@ -75,14 +75,14 @@ def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
 
 def _verify(seed: SeedPoly, args) -> tuple[list[Check], dict]:
     bundle = build_bundle(seed)
-    checks = verify_bundle(bundle) + position_checks(seed)
+    checks = verify_bundle(bundle) + position_checks(seed, bundle.v)
     galois = _galois_check(seed, args.prime_bound)
     checks.append(Check(galois.name, galois.passed, None))
     return checks, {"forms": _forms(bundle), "galois": galois.witness}
 
 
 def _position(seed: SeedPoly, args) -> tuple[list[Check], dict]:
-    return position_checks(seed), {}
+    return position_checks(seed, build_v(seed)), {}
 
 
 def _galois(seed: SeedPoly, args) -> tuple[list[Check], dict]:

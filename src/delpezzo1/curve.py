@@ -114,19 +114,17 @@ class CurveBundle:
     v: TriPoly
     w: TriPoly
     q_form: TriPoly
-    f_sextic: TriPoly  # bivariate image of h^2 under the substitution section
     g_cubic: TriPoly   # degree <= 3 matcher for the x-derivative along the cusp
-    h_affine: TriPoly  # w in the z = 1 chart
     p_reduced: UniPoly  # canonical remainder of F_x(t^3, t) modulo h
 
 
-def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, TriPoly, TriPoly, UniPoly]:
+def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, UniPoly]:
     """Construct the double-vanishing sextic w with its audit trail.
 
-    Returns (w, F, G, H, p) where F = A(h^2), p = F_x(t^3, t) reduced
-    modulo h, G = A(p), H = F - (x - y^3) G and w is H homogenized to
-    degree 6.  By construction w and its first partials all vanish at
-    every seed point, while w(0, 0, 1) = h(0)^2 != 0.
+    Returns (w, G, p) where F = A(h^2), p = F_x(t^3, t) reduced modulo h,
+    G = A(p) and w is F - (x - y^3) G homogenized to degree 6.  By
+    construction w and its first partials all vanish at every seed point,
+    while w(0, 0, 1) = h(0)^2 != 0.
     """
     h = seed.h
     f_sextic = amap(h * h)
@@ -134,9 +132,8 @@ def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, TriPoly, TriPoly, UniPoly
     p_reduced = qr_reduce(fx.param_eval(), h)
     g_cubic = amap(p_reduced)
     x_minus_y3 = TriPoly({(1, 0, 0): 1, (0, 3, 0): -1})
-    h_affine = f_sextic - x_minus_y3 * g_cubic
-    w = h_affine.homogenize(6)
-    return w, f_sextic, g_cubic, h_affine, p_reduced
+    w = (f_sextic - x_minus_y3 * g_cubic).homogenize(6)
+    return w, g_cubic, p_reduced
 
 
 def build_q(u: TriPoly, v: TriPoly, w: TriPoly) -> TriPoly:
@@ -154,9 +151,9 @@ def build_q(u: TriPoly, v: TriPoly, w: TriPoly) -> TriPoly:
 def build_bundle(seed: SeedPoly) -> CurveBundle:
     u = U_FORM
     v = build_v(seed)
-    w, f_sextic, g_cubic, h_affine, p_reduced = build_w(seed)
+    w, g_cubic, p_reduced = build_w(seed)
     q_form = build_q(u, v, w)
-    return CurveBundle(seed, u, v, w, q_form, f_sextic, g_cubic, h_affine, p_reduced)
+    return CurveBundle(seed, u, v, w, q_form, g_cubic, p_reduced)
 
 
 # -- linear systems through the seed points ------------------------------
@@ -178,7 +175,7 @@ def _apply_ops(form: TriPoly, ops: str) -> TriPoly:
     return form
 
 
-def _constraint_rows(h: UniPoly, degree: int, ops: list[str]) -> list[list[Fraction]]:
+def _constraint_rows(h: UniPoly, degree: int, ops: Sequence[str]) -> list[list[Fraction]]:
     """One block of deg(h) rows per op: column e is op(monomial e) at (t^3, t, 1) mod h."""
     mons = _monomials(degree)
     rows = []
@@ -193,7 +190,7 @@ def _constraint_rows(h: UniPoly, degree: int, ops: list[str]) -> list[list[Fract
     return rows
 
 
-def _space_through_points(seed: SeedPoly, degree: int, ops: list[str]) -> list[TriPoly]:
+def _space_through_points(seed: SeedPoly, degree: int, ops: Sequence[str]) -> list[TriPoly]:
     mons = _monomials(degree)
     kernel = q_kernel_basis(_constraint_rows(seed.h, degree, ops), len(mons))
     return [TriPoly({e: c for e, c in zip(mons, vec) if c != 0}) for vec in kernel]
@@ -204,7 +201,7 @@ def cubic_space(seed: SeedPoly) -> list[TriPoly]:
     return _space_through_points(seed, 3, [""])
 
 
-def _fp_constraint_rows(h: UniPoly, degree: int, ops: list[str], p: int) -> list[list[int]]:
+def _fp_constraint_rows(h: UniPoly, degree: int, ops: Sequence[str], p: int) -> list[list[int]]:
     """The matrix of _constraint_rows reduced mod p, built over F_p.
 
     Column e of block op is c * (t^n mod h) when the op-derivative of the
@@ -225,39 +222,51 @@ def _fp_constraint_rows(h: UniPoly, degree: int, ops: list[str], p: int) -> list
     return rows
 
 
-def sextic_space(seed: SeedPoly) -> list[TriPoly]:
+_SEXTIC_OPS = ("", "x", "y")
+
+
+def _vanishes_doubly(form: TriPoly, h: UniPoly) -> bool:
+    """Form, x- and y-partial vanish at the points; by Euler so does the z-partial."""
+    return all(tri_eval_param(_apply_ops(form, op), h).is_zero for op in _SEXTIC_OPS)
+
+
+def sextic_space(seed: SeedPoly, forms: list[TriPoly]) -> list[TriPoly]:
     """Basis of sextics vanishing with first x- and y-derivatives at the points.
 
     The z-derivative condition is implied by the Euler relation, so only
     two derivative blocks are imposed beyond plain vanishing: 24 linear
-    conditions on the 28 sextic monomials.
+    conditions on the 28 sextic monomials.  The candidate forms (u^2, uv,
+    v^2, w from verify_bundle) are returned themselves whenever they are
+    a basis, and the exact kernel over Q otherwise.
 
-    The common path certifies the basis u^2, uv, v^2, w instead of
-    computing a kernel.  The condition matrix has rational entries whose
-    denominators divide powers of those of h, so when the prime CERT_PRIME
-    divides none of them the matrix reduces mod p and its rank over Q is
-    at least its rank over F_p (a nonzero minor mod p is nonzero).  F_p
-    rank 24 therefore bounds the Q-dimension by 28 - 24 = 4; the four
-    forms lying in the system exactly (reduction modulo h over Q) and
-    being independent over Q then make it exactly 4, with them as a basis.
-    The certificate is one-sided: if p divides a denominator of h, the
-    F_p rank is below 24, a form fails a condition or the forms are
-    dependent, the exact kernel over Q is computed instead.
+    The common path certifies the candidates instead of computing a
+    kernel.  The condition matrix has rational entries whose denominators
+    divide powers of those of h, so when the prime CERT_PRIME divides none
+    of them the matrix reduces mod p and its rank over Q is at least its
+    rank over F_p (a nonzero minor mod p is nonzero).  F_p rank 24
+    therefore bounds the Q-dimension by 28 - 24 = 4; four forms lying in
+    the system exactly (reduction modulo h over Q) and independent over Q
+    then make it exactly 4, with them as a basis.  The certificate is
+    one-sided: if p divides a denominator of h, the F_p rank is below 24,
+    a form fails a condition or the forms are dependent, the exact kernel
+    is computed, and the forms are a basis iff they are four independent
+    forms in its span.
     """
-    h, p, ops = seed.h, CERT_PRIME, ["", "x", "y"]
+    h, p = seed.h, CERT_PRIME
     try:
-        rows = _fp_constraint_rows(h, 6, ops, p)
+        rows = _fp_constraint_rows(h, 6, _SEXTIC_OPS, p)
     except PrimeSkip:
         rows = []
-    if fp_rank(rows, p) == 24:
-        v = build_v(seed)
-        forms = [U_FORM * U_FORM, U_FORM * v, v * v, build_w(seed)[0]]
-        in_system = all(
-            tri_eval_param(_apply_ops(f, op), h).is_zero for f in forms for op in ops
-        )
-        if in_system and forms_rank(forms, 6) == 4:
-            return forms
-    return _space_through_points(seed, 6, ops)
+    if (
+        fp_rank(rows, p) == 24
+        and all(_vanishes_doubly(f, h) for f in forms)
+        and forms_rank(forms, 6) == 4
+    ):
+        return forms
+    kernel = _space_through_points(seed, 6, _SEXTIC_OPS)
+    if len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4:
+        return forms
+    return kernel
 
 
 def forms_rank(forms: list[TriPoly], degree: int) -> int:
@@ -269,37 +278,25 @@ def forms_rank(forms: list[TriPoly], degree: int) -> int:
 # -- multiplicity, genus, dichotomy --------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
-    """Vanishing orders of the model at the seed points, all of them at once."""
-
-    vanishing_to_order_2: bool
-    failed_derivative: str | None
-    order3_gcd: UniPoly
-    multiplicity_exactly_3: bool
-
-
-def multiplicity_report(bundle: CurveBundle) -> MultiplicityReport:
+def multiplicity_report(bundle: CurveBundle) -> list[Check]:
     """Check that every seed point is a triple point of the model.
 
     All partials of order <= 2 must reduce to zero modulo h after the
     (t^3, t, 1) substitution; the point multiplicity is then exactly 3
     iff h shares no root with the full set of order-3 partials, i.e. the
-    gcd of h with their representatives is 1.
+    gcd of h with their representatives is 1.  Returns the checks
+    vanishing_to_order_2 and multiplicity_exactly_3, in that order.
     """
     h = bundle.seed.h
     q = bundle.q_form
-    failed = None
-    ok2 = True
-    for order in range(3):
-        for combo in itertools.combinations_with_replacement(_VARS, order):
-            rep = tri_eval_param(_apply_ops(q, "".join(combo)), h)
-            if not rep.is_zero:
-                ok2 = False
-                failed = "".join(combo) or "value"
-                break
-        if not ok2:
-            break
+    ops = (
+        "".join(combo)
+        for order in range(3)
+        for combo in itertools.combinations_with_replacement(_VARS, order)
+    )
+    nonzero = (op or "value" for op in ops if not tri_eval_param(_apply_ops(q, op), h).is_zero)
+    failed = next(nonzero, None)
+    ok2 = failed is None
     g = h
     for combo in itertools.combinations_with_replacement(_VARS, 3):
         rep = tri_eval_param(_apply_ops(q, "".join(combo)), h)
@@ -307,8 +304,11 @@ def multiplicity_report(bundle: CurveBundle) -> MultiplicityReport:
             g = g.gcd(rep)
             if g.degree == 0:
                 break
-    exact = ok2 and g.degree == 0
-    return MultiplicityReport(ok2, failed, g if g.degree > 0 else UniPoly([1]), exact)
+    order3_gcd = g if g.degree > 0 else UniPoly([1])
+    return [
+        Check("vanishing_to_order_2", ok2, {"failed_derivative": failed}),
+        Check("multiplicity_exactly_3", ok2 and g.degree == 0, {"order3_gcd": order3_gcd}),
+    ]
 
 
 def genus_of_model(degree: int, multiplicities: Sequence[int]) -> int:
@@ -319,24 +319,6 @@ def genus_of_model(degree: int, multiplicities: Sequence[int]) -> int:
     for m in multiplicities:
         g -= m * (m - 1) // 2
     return g
-
-
-@dataclass(frozen=True)
-class DichotomyReport:
-    """Outcome of testing Q = c * linear^9 and Q = c * cubic^3 exactly."""
-
-    is_ninth_power: bool
-    linear_factor: TriPoly | None
-    is_cube: bool
-    cube_root: TriPoly | None
-
-    @property
-    def verdict(self) -> str:
-        if self.is_ninth_power:
-            return "ninth-power"
-        if self.is_cube:
-            return "cube"
-        return "neither"
 
 
 def _nth_root_form(q: TriPoly, n: int) -> TriPoly | None:
@@ -369,17 +351,22 @@ def _nth_root_form(q: TriPoly, n: int) -> TriPoly | None:
     return None
 
 
-def perfect_power_dichotomy(q: TriPoly) -> DichotomyReport:
+def perfect_power_dichotomy(q: TriPoly) -> Check:
     """Decide whether the degree-9 model is a 9th power or a perfect cube.
 
-    "Neither" is the expected outcome; together with the genus argument it
-    certifies that the model is irreducible over the algebraic closure.
+    "Neither" is the expected outcome and the only passing verdict;
+    together with the genus argument it certifies that the model is
+    irreducible over the algebraic closure.
     """
     if q.total_degree != 9:
         raise ValueError("dichotomy applies to degree-9 forms")
-    linear = _nth_root_form(q, 9)
-    cube = _nth_root_form(q, 3)
-    return DichotomyReport(linear is not None, linear, cube is not None, cube)
+    if _nth_root_form(q, 9) is not None:
+        verdict = "ninth-power"
+    elif _nth_root_form(q, 3) is not None:
+        verdict = "cube"
+    else:
+        verdict = "neither"
+    return Check("perfect_power_dichotomy", verdict == "neither", {"verdict": verdict})
 
 
 # -- full verification report ---------------------------------------------
@@ -389,62 +376,46 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
     """Run every finite check on a constructed bundle, in a fixed order."""
     seed = bundle.seed
     h = seed.h
+    u, v, w = bundle.u, bundle.v, bundle.w
     checks: list[Check] = []
 
-    ident = bundle.v.param_eval() - UniPoly([0, 1]) * h
+    ident = v.param_eval() - UniPoly([0, 1]) * h
     checks.append(Check("v_parametric_identity", ident.is_zero, {"residual_degree": ident.degree}))
-    checks.append(Check("v_x_degree", bundle.v.x_degree == 3, {"x_degree": bundle.v.x_degree}))
+    checks.append(Check("v_x_degree", v.x_degree == 3, {"x_degree": v.x_degree}))
 
     # a kernel basis is independent, so equal ranks put u and v in its span
     cubics = cubic_space(seed)
-    cubic_ok = len(cubics) == 2 and forms_rank(cubics + [bundle.u, bundle.v], 3) == 2
+    cubic_ok = len(cubics) == 2 and forms_rank(cubics + [u, v], 3) == 2
     ninth_cubic = all(c.eval(0, 0, 1) == 0 for c in cubics)
     checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
     checks.append(Check("cubic_space_ninth_point", ninth_cubic, {}))
 
-    sextics = sextic_space(seed)
-    expected = [bundle.u * bundle.u, bundle.u * bundle.v, bundle.v * bundle.v, bundle.w]
-    sextic_ok = (
-        len(sextics) == 4
-        and forms_rank(expected, 6) == 4
-        and forms_rank(sextics + expected, 6) == 4
-    )
-    checks.append(Check("sextic_space_dimension", sextic_ok, {"dimension": len(sextics)}))
-    w_ninth = bundle.w.eval(0, 0, 1)
+    forms = [u * u, u * v, v * v, w]
+    sextics = sextic_space(seed, forms)
+    # sextic_space hands the forms back exactly when they are a basis,
+    # after checking that each one vanishes doubly at the points
+    basis = sextics == forms
+    checks.append(Check("sextic_space_dimension", basis, {"dimension": len(sextics)}))
+    w_ninth = w.eval(0, 0, 1)
     checks.append(Check(
         "w_ninth_point_value",
         w_ninth == seed.h0 ** 2 and w_ninth != 0,
         {"value": w_ninth, "expected": seed.h0 ** 2},
     ))
-    sq_vanish = all(f.eval(0, 0, 1) == 0 for f in expected[:3])
+    sq_vanish = all(f.eval(0, 0, 1) == 0 for f in forms[:3])
     checks.append(Check("pencil_squares_vanish_at_ninth_point", sq_vanish, {}))
-
-    w_vanish = all(
-        tri_eval_param(_apply_ops(bundle.w, op), h).is_zero
-        for op in ("", "x", "y", "z")
-    )
+    w_vanish = basis or _vanishes_doubly(w, h)
     checks.append(Check("w_vanishes_doubly_on_points", w_vanish, {}))
 
     qdeg = bundle.q_form.total_degree
     checks.append(Check("model_degree", qdeg == 9, {"degree": qdeg}))
 
-    mult = multiplicity_report(bundle)
-    checks.append(Check(
-        "vanishing_to_order_2",
-        mult.vanishing_to_order_2,
-        {"failed_derivative": mult.failed_derivative},
-    ))
-    checks.append(Check(
-        "multiplicity_exactly_3", mult.multiplicity_exactly_3, {"order3_gcd": mult.order3_gcd}
-    ))
-
-    if qdeg == 9 and mult.multiplicity_exactly_3:
+    order2, order3 = multiplicity_report(bundle)
+    checks += [order2, order3]
+    if qdeg == 9 and order3.passed:
         genus = genus_of_model(9, [3] * 8)
         checks.append(Check("genus", genus == 4, {"genus": genus}))
-        dich = perfect_power_dichotomy(bundle.q_form)
-        checks.append(Check(
-            "perfect_power_dichotomy", dich.verdict == "neither", {"verdict": dich.verdict}
-        ))
+        checks.append(perfect_power_dichotomy(bundle.q_form))
     else:
         checks.append(Check("genus", False, {"reason": "model degenerate"}))
         checks.append(Check("perfect_power_dichotomy", False, {"reason": "model degenerate"}))

@@ -29,7 +29,6 @@ Matrix = tuple[tuple[int, ...], ...]
 class IntLattice:
     rank: int
     gram: Matrix
-    basis_labels: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
@@ -76,9 +75,8 @@ def build_hyperbolic(d: int) -> MarkedLattice:
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n))
         for i in range(n)
     )
-    labels = tuple(f"e{i}" for i in range(n))
     omega = tuple([-3] + [1] * (n - 1))
-    return MarkedLattice(IntLattice(n, gram, labels), omega)
+    return MarkedLattice(IntLattice(n, gram), omega)
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,7 @@ def orth_complement(lat: IntLattice, v: Vector) -> Sublattice:
     basis = int_functional_kernel([c // g for c in w])
     vecs = tuple(tuple(b) for b in basis)
     gram = tuple(tuple(lat.pair(a, b) for b in vecs) for a in vecs)
-    labels = tuple(f"c{i}" for i in range(len(vecs)))
-    return Sublattice(IntLattice(len(vecs), gram, labels), vecs)
+    return Sublattice(IntLattice(len(vecs), gram), vecs)
 
 
 # -- short vectors ---------------------------------------------------------
@@ -362,21 +359,21 @@ def f8s_iso_check() -> Check:
     )
 
 
-def picard_model_check(n: int = 8) -> Check:
+def picard_model_check() -> Check:
     """Gram identities in the blow-up model of the rank-9 Picard lattice.
 
-    Basis f_0, l_1, ..., l_n with f_0^2 = 1 and l_b^2 = -1; the canonical
+    Basis f_0, l_1, ..., l_8 with f_0^2 = 1 and l_b^2 = -1; the canonical
     class is K = -3 f_0 + sum l_b.  The vectors v_i = l_i + K pair to -2
     on the diagonal and -1 off it, and their mod-2 images are linearly
     independent with a nonsingular all-ones-off-diagonal pairing matrix.
     """
+    n = 8
     rank = n + 1
     gram = tuple(
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
         for i in range(rank)
     )
-    labels = ("f0",) + tuple(f"l{i}" for i in range(1, rank))
-    lat = IntLattice(rank, gram, labels)
+    lat = IntLattice(rank, gram)
     k = tuple([-3] + [1] * n)
     vs = []
     for i in range(1, rank):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .curve import SeedPoly, U_FORM, build_v
+from .curve import SeedPoly, U_FORM
 from .quotient import tri_eval_param
 from .serialize import Check
 from .tripoly import TriPoly
@@ -92,22 +92,18 @@ def check_six_conic(seed: SeedPoly) -> Check:
     return Check("no_six_on_conic", g.degree == 0, {"paired_root_factor": g})
 
 
-def check_singular_cubic(
-    seed: SeedPoly, pencil_partner: TriPoly | None = None
-) -> Check:
+def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
     """No cubic through all eight points is singular at one of them.
 
     Every cubic through the points lies in the pencil spanned by
-    u = xz^2 - y^3 and the companion cubic v, so a bad cubic exists iff
-    the gradients of u and v are linearly dependent at some point, i.e.
-    iff the three 2x2 minors of the gradient matrix share a root with h.
-    The u-row at (t^3, t, 1) is always (1, -3t^2, 2t^3).
-
-    `pencil_partner` substitutes the second pencil generator; passing u
-    itself is the rank-1 negative control.
+    u = xz^2 - y^3 and the companion cubic v (curve.build_v of the seed),
+    so a bad cubic exists iff the gradients of u and v are linearly
+    dependent at some point, i.e. iff the three 2x2 minors of the
+    gradient matrix share a root with h.  The u-row at (t^3, t, 1) is
+    always (1, -3t^2, 2t^3).  Passing u itself as v is the rank-1
+    negative control.
     """
     h = seed.h
-    v = pencil_partner if pencil_partner is not None else build_v(seed)
     row_u = [tri_eval_param(U_FORM.derivative(s), h) for s in ("x", "y", "z")]
     row_v = [tri_eval_param(v.derivative(s), h) for s in ("x", "y", "z")]
     minors = [
@@ -125,6 +121,6 @@ def check_singular_cubic(
     )
 
 
-def position_checks(seed: SeedPoly) -> list[Check]:
-    """The three general-position checks: collinear, conic, singular cubic."""
-    return [check_three_collinear(seed), check_six_conic(seed), check_singular_cubic(seed)]
+def position_checks(seed: SeedPoly, v: TriPoly) -> list[Check]:
+    """The three general-position checks; v is the seed's companion cubic (build_v)."""
+    return [check_three_collinear(seed), check_six_conic(seed), check_singular_cubic(seed, v)]

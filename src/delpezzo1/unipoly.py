@@ -8,6 +8,7 @@ immutable and deterministic; no floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,10 +39,6 @@ class UniPoly:
     @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> UniPoly:
         return cls([0] * degree + [coeff])
-
-    @classmethod
-    def constant(cls, c: Scalar) -> UniPoly:
-        return cls([c])
 
     @property
     def degree(self) -> int:
@@ -266,17 +263,8 @@ class UniPoly:
 
 
 def _clear_denominators(f: UniPoly) -> tuple[list[int], int]:
-    lcm = 1
-    for c in f.coeffs:
-        d = c.denominator
-        lcm = lcm * d // _int_gcd(lcm, d)
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
     return [int(c * lcm) for c in f.coeffs], lcm
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:

@@ -106,7 +106,8 @@ def float_position_oracle(seed: SeedPoly) -> dict[str, bool]:
 
 def position_verdicts(seed: SeedPoly) -> dict[str, bool]:
     """The exact general-position verdicts, keyed like float_position_oracle."""
+    from delpezzo1.curve import build_v
     from delpezzo1.position import position_checks
 
     keys = ("collinear", "conic", "singular_cubic")
-    return {key: check.passed for key, check in zip(keys, position_checks(seed))}
+    return {key: check.passed for key, check in zip(keys, position_checks(seed, build_v(seed)))}

@@ -128,9 +128,10 @@ def test_criterion_2_linear_system_dimensions():
         for f in (U_FORM, v):
             ok &= forms_rank(cubics + [f], 3) == forms_rank(cubics, 3)
         bundle = build_bundle(seed)
-        sextics = sextic_space(seed)
+        forms = [bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w]
+        sextics = sextic_space(seed, forms)
         ok &= len(sextics) == 4
-        for f in (bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w):
+        for f in forms:
             ok &= forms_rank(sextics + [f], 6) == forms_rank(sextics, 6)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
@@ -142,12 +143,12 @@ def test_criterion_3_branch_model_facts():
     seed = validate_seed(X8_COEFFS)
     bundle = build_bundle(seed)
     ok = bundle.q_form.total_degree == 9
-    mult = multiplicity_report(bundle)
-    ok &= mult.vanishing_to_order_2
-    ok &= mult.order3_gcd.degree == 0
-    ok &= mult.multiplicity_exactly_3
+    order2, order3 = multiplicity_report(bundle)
+    ok &= order2.passed
+    ok &= order3.witness["order3_gcd"].degree == 0
+    ok &= order3.passed
     ok &= genus_of_model(9, [3] * 8) == 4
-    ok &= perfect_power_dichotomy(bundle.q_form).verdict == "neither"
+    ok &= perfect_power_dichotomy(bundle.q_form).witness["verdict"] == "neither"
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     report(3, f"branch-model facts ({elapsed:.2f}s)", ok)
@@ -165,7 +166,7 @@ def test_criterion_4_general_position_and_controls():
     bad_pair = position_verdicts(validate_seed(CONIC_BAD))
     ok &= bad_pair == {"collinear": True, "conic": False, "singular_cubic": True}
 
-    degenerate = check_singular_cubic(seed, pencil_partner=U_FORM)
+    degenerate = check_singular_cubic(seed, U_FORM)
     ok &= not degenerate.passed
     ok &= check_six_conic(seed).passed and check_three_collinear(seed).passed
 

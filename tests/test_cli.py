@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import COLLINEAR_BAD, X8_COEFFS
+from delpezzo1 import curve, linalg
 from delpezzo1.cli import main
 
 X8_POLY = ",".join(str(c) for c in X8_COEFFS)
@@ -163,3 +164,33 @@ def test_output_bytes_match_recorded_digests(case, capsys):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def _count_calls(monkeypatch, home, name: str) -> list:
+    """Wrap home.name at every delpezzo1 module that binds it; record each call."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "delpezzo1":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_builds_each_form_once(monkeypatch, capsys):
+    # verify reuses the bundle's v and w in the sextic certificate, the
+    # singular-cubic check and w's double vanishing; the two ranks are the
+    # cubic span and the independence of u^2, uv, v^2, w
+    v_calls = _count_calls(monkeypatch, curve, "build_v")
+    w_calls = _count_calls(monkeypatch, curve, "build_w")
+    rank_calls = _count_calls(monkeypatch, linalg, "q_rank")
+    assert main(["verify", "--poly", X8_POLY]) == 0
+    capsys.readouterr()
+    assert (len(v_calls), len(w_calls), len(rank_calls)) == (1, 1, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from delpezzo1 import (
     validate_seed,
     verify_bundle,
 )
-from delpezzo1.curve import forms_rank
+from delpezzo1.curve import _nth_root_form, forms_rank
 from delpezzo1.quotient import tri_eval_param
 
 
@@ -138,10 +139,12 @@ class TestWorkedPipeline:
         )
 
     def test_w_audit_values(self, seed_x8):
-        w, f_sextic, g_cubic, h_affine, p_reduced = build_w(seed_x8)
+        w, g_cubic, p_reduced = build_w(seed_x8)
         assert p_reduced == UniPoly([0, 0, 0, 0, 0, 1, -1])
         assert g_cubic == TriPoly({(2, 0, 0): -1, (1, 2, 0): 1})
-        assert h_affine == TriPoly(
+        # w in the z = 1 chart is A(h^2) - (x - y^3) G
+        x_minus_y3 = TriPoly({(1, 0, 0): 1, (0, 3, 0): -1})
+        assert amap(seed_x8.h * seed_x8.h) - x_minus_y3 * g_cubic == TriPoly(
             {
                 (5, 1, 0): 1,
                 (1, 5, 0): 1,
@@ -210,10 +213,13 @@ class TestLinearSystems:
 
     def test_sextic_space_worked_seed(self, seed_x8):
         bundle = build_bundle(seed_x8)
-        basis = sextic_space(seed_x8)
-        assert len(basis) == 4
-        for f in (bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w):
-            assert forms_rank(basis + [f], 6) == forms_rank(basis, 6)
+        forms = _pencil_basis(seed_x8)
+        basis = sextic_space(seed_x8, forms)
+        assert basis == forms
+        oracle = curve._space_through_points(seed_x8, 6, SEXTIC_OPS)
+        assert len(oracle) == 4
+        for f in forms:
+            assert forms_rank(oracle + [f], 6) == forms_rank(oracle, 6)
         for f in (bundle.u**2, bundle.u * bundle.v, bundle.v**2):
             assert f.eval(0, 0, 1) == 0
         assert bundle.w.eval(0, 0, 1) != 0
@@ -258,9 +264,10 @@ class TestSexticCertificate:
         seeds.append(validate_seed(FIXED_FRACTION_COEFFS))
         seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
         for seed in seeds:
-            basis = sextic_space(seed)
+            forms = _pencil_basis(seed)
+            basis = sextic_space(seed, forms)
             oracle = curve._space_through_points(seed, 6, SEXTIC_OPS)
-            assert len(basis) == 4
+            assert basis == forms
             assert forms_rank(basis, 6) == forms_rank(oracle, 6) == forms_rank(basis + oracle, 6)
 
     def test_fp_rows_reduce_the_exact_rows(self):
@@ -275,16 +282,17 @@ class TestSexticCertificate:
     def test_certified_path_computes_no_kernel(self, coeffs, monkeypatch):
         calls = _count_kernel_calls(monkeypatch)
         seed = validate_seed(coeffs)
-        assert forms_rank(sextic_space(seed) + _pencil_basis(seed), 6) == 4
+        forms = _pencil_basis(seed)
+        assert sextic_space(seed, forms) == forms
         assert calls == []
 
     def test_prime_in_a_denominator_falls_back(self, monkeypatch):
         calls = _count_kernel_calls(monkeypatch)
         seed = validate_seed([-1, Fraction(1, curve.CERT_PRIME), 0, 0, 0, 0, 0, 0, 1])
-        basis = sextic_space(seed)
+        forms = _pencil_basis(seed)
+        # the exact kernel confirms the forms, so they come back themselves
+        assert sextic_space(seed, forms) == forms
         assert calls == [24]
-        assert len(basis) == 4
-        assert forms_rank(basis + _pencil_basis(seed), 6) == 4
 
     @pytest.mark.parametrize(
         "wrong_w",
@@ -293,12 +301,12 @@ class TestSexticCertificate:
     )
     def test_wrong_candidate_falls_back(self, wrong_w, monkeypatch):
         seed = validate_seed(X8_COEFFS)
-        w, *audit = build_w(seed)
-        monkeypatch.setattr(curve, "build_w", lambda _: (wrong_w(w), *audit))
+        *pencil, w = _pencil_basis(seed)
         calls = _count_kernel_calls(monkeypatch)
-        basis = sextic_space(seed)
+        basis = sextic_space(seed, pencil + [wrong_w(w)])
         assert calls == [24]
-        assert forms_rank(basis + [U_FORM**2, w], 6) == 4
+        assert len(basis) == 4
+        assert forms_rank(basis + pencil + [w], 6) == 4
 
     # X8 keeps rank 24 mod 2 and mod 3, so only its cubic kernel is
     # computed; the fraction (denominators divisible by 2 and 3) and the
@@ -343,35 +351,37 @@ class TestRootScaling:
 
 class TestMultiplicity:
     def test_worked_seed(self, seed_x8):
-        rep = multiplicity_report(build_bundle(seed_x8))
-        assert rep.vanishing_to_order_2
-        assert rep.order3_gcd == UniPoly([1])
-        assert rep.multiplicity_exactly_3
+        order2, order3 = multiplicity_report(build_bundle(seed_x8))
+        assert (order2.name, order3.name) == ("vanishing_to_order_2", "multiplicity_exactly_3")
+        assert order2.passed
+        assert order2.witness == {"failed_derivative": None}
+        assert order3.witness == {"order3_gcd": UniPoly([1])}
+        assert order3.passed
 
     def test_cube_of_pencil_cubic_has_multiplicity_three(self, seed_x8):
         # u^3 vanishes to order exactly 3: its third-order jet at a smooth
         # point of u is (du)^3, which never dies along the parametrization
         bundle = build_bundle(seed_x8)
-        fake = type(bundle)(
-            bundle.seed, bundle.u, bundle.v, bundle.w, bundle.u**3,
-            bundle.f_sextic, bundle.g_cubic, bundle.h_affine, bundle.p_reduced,
-        )
-        rep = multiplicity_report(fake)
-        assert rep.vanishing_to_order_2
-        assert rep.multiplicity_exactly_3
+        order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=bundle.u**3))
+        assert order2.passed
+        assert order3.passed
 
     def test_higher_order_vanishing_detected(self, seed_x8):
         # u^3 * v vanishes to order >= 4 at every seed point, so the
         # multiplicity-exactly-3 certificate must refuse it
         bundle = build_bundle(seed_x8)
-        fake = type(bundle)(
-            bundle.seed, bundle.u, bundle.v, bundle.w, bundle.u**3 * bundle.v,
-            bundle.f_sextic, bundle.g_cubic, bundle.h_affine, bundle.p_reduced,
-        )
-        rep = multiplicity_report(fake)
-        assert rep.vanishing_to_order_2
-        assert not rep.multiplicity_exactly_3
-        assert rep.order3_gcd == bundle.seed.h
+        fake = dataclasses.replace(bundle, q_form=bundle.u**3 * bundle.v)
+        order2, order3 = multiplicity_report(fake)
+        assert order2.passed
+        assert not order3.passed
+        assert order3.witness["order3_gcd"] == bundle.seed.h
+
+    def test_first_failing_derivative_is_named(self, seed_x8):
+        # u^2 vanishes doubly but its second x-derivative 2 u_x^2 does not
+        bundle = build_bundle(seed_x8)
+        order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=bundle.u**2))
+        assert not order2.passed and not order3.passed
+        assert order2.witness == {"failed_derivative": "xx"}
 
 
 class TestGenus:
@@ -394,27 +404,30 @@ class TestGenus:
 class TestDichotomy:
     def test_ninth_power_detected(self):
         ell = TriPoly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-        rep = perfect_power_dichotomy(3 * ell**9)
-        assert rep.is_ninth_power
-        assert rep.verdict == "ninth-power"
-        assert 3 * rep.linear_factor**9 == 3 * ell**9
+        check = perfect_power_dichotomy(3 * ell**9)
+        assert not check.passed
+        assert check.witness == {"verdict": "ninth-power"}
+        assert 3 * _nth_root_form(3 * ell**9, 9) ** 9 == 3 * ell**9
 
     def test_cube_detected(self):
         base = TriPoly({(3, 0, 0): 1, (0, 2, 1): 1})
-        rep = perfect_power_dichotomy(base**3)
-        assert rep.is_cube and not rep.is_ninth_power
-        assert rep.verdict == "cube"
-        assert rep.cube_root**3 == base**3
+        check = perfect_power_dichotomy(base**3)
+        assert not check.passed
+        assert check.witness == {"verdict": "cube"}
+        assert _nth_root_form(base**3, 9) is None
+        assert _nth_root_form(base**3, 3) ** 3 == base**3
 
     def test_scaled_and_shuffled_cube(self):
         base = TriPoly({(2, 1, 0): 2, (1, 1, 1): -1, (0, 0, 3): 5})
-        rep = perfect_power_dichotomy(Fraction(-7, 4) * base**3)
-        assert rep.is_cube
+        check = perfect_power_dichotomy(Fraction(-7, 4) * base**3)
+        assert check.witness == {"verdict": "cube"}
 
     def test_worked_seed_is_neither(self, seed_x8):
-        rep = perfect_power_dichotomy(build_bundle(seed_x8).q_form)
-        assert rep.verdict == "neither"
-        assert not rep.is_ninth_power and not rep.is_cube
+        q = build_bundle(seed_x8).q_form
+        check = perfect_power_dichotomy(q)
+        assert check.passed
+        assert check.witness == {"verdict": "neither"}
+        assert _nth_root_form(q, 9) is None and _nth_root_form(q, 3) is None
 
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -423,9 +436,16 @@ class TestDichotomy:
 
 def test_verify_bundle_flags_degenerate_model(seed_x8):
     bundle = build_bundle(seed_x8)
-    broken = type(bundle)(
-        bundle.seed, bundle.u, bundle.v, bundle.w, bundle.u**2,
-        bundle.f_sextic, bundle.g_cubic, bundle.h_affine, bundle.p_reduced,
-    )
-    checks = verify_bundle(broken)
+    checks = verify_bundle(dataclasses.replace(bundle, q_form=bundle.u**2))
     assert "model_degree" in [c.name for c in checks if not c.passed]
+
+
+def test_verify_bundle_flags_w_outside_the_sextic_system(seed_x8):
+    # w + z^6 no longer vanishes at the points, so u^2, uv, v^2 and it are
+    # not a basis: sextic_space returns the exact kernel, still of dimension 4
+    bundle = build_bundle(seed_x8)
+    broken = dataclasses.replace(bundle, w=bundle.w + TriPoly.monomial((0, 0, 6)))
+    checks = {c.name: c for c in verify_bundle(broken)}
+    assert not checks["sextic_space_dimension"].passed
+    assert checks["sextic_space_dimension"].witness == {"dimension": 4}
+    assert not checks["w_vanishes_doubly_on_points"].passed

@@ -164,7 +164,7 @@ class TestCensus:
         assert check.passed
 
     def test_only_defined_for_even_lattices(self):
-        odd = IntLattice(1, ((-1,),), ("e1",))
+        odd = IntLattice(1, ((-1,),))
         with pytest.raises(ArithmeticError):
             mod2_quadratic_census(odd, [])
 

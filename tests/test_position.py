@@ -18,6 +18,7 @@ from conftest import (
 )
 from delpezzo1 import (
     U_FORM,
+    build_v,
     check_singular_cubic,
     check_six_conic,
     check_three_collinear,
@@ -115,8 +116,9 @@ class TestRootScaling:
     )
     def test_verdicts_and_witness_scaling(self, coeffs, k):
         seed = validate_seed(coeffs)
-        base = position_checks(seed)
-        scaled = position_checks(validate_seed(seed.h.scale_roots(k).coeffs))
+        scaled_seed = validate_seed(seed.h.scale_roots(k).coeffs)
+        base = position_checks(seed, build_v(seed))
+        scaled = position_checks(scaled_seed, build_v(scaled_seed))
         assert [c.passed for c in scaled] == [c.passed for c in base]
         before, after = base[0].witness, scaled[0].witness
         assert after["path"] == before["path"]
@@ -148,7 +150,7 @@ class TestConic:
 
 class TestSingularCubic:
     def test_worked_seed(self, seed_x8):
-        assert check_singular_cubic(seed_x8).passed
+        assert check_singular_cubic(seed_x8, build_v(seed_x8)).passed
 
     def test_gradient_row_of_cusp_cubic(self, seed_x8):
         h = seed_x8.h
@@ -158,7 +160,7 @@ class TestSingularCubic:
         assert row[2] == UniPoly([0, 0, 0, 2])
 
     def test_degenerate_pencil_fails(self, seed_x8):
-        check = check_singular_cubic(seed_x8, pencil_partner=U_FORM)
+        check = check_singular_cubic(seed_x8, U_FORM)
         assert not check.passed
         assert check.witness["dependent_gradient_factor"] == seed_x8.h
 
