@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .finitefield import PrimeSkip, fp_rem, poly_mod_p
 from .linalg import fp_rank, q_kernel_basis, q_rank
-from .quotient import qr_reduce, tri_eval_param
+from .quotient import common_factor, qr_reduce, tri_eval_param
 from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
 from .unipoly import Scalar, UniPoly
@@ -175,51 +175,36 @@ def _apply_ops(form: TriPoly, ops: str) -> TriPoly:
     return form
 
 
-def _constraint_rows(h: UniPoly, degree: int, ops: Sequence[str]) -> list[list[Fraction]]:
-    """One block of deg(h) rows per op: column e is op(monomial e) at (t^3, t, 1) mod h."""
+def _constraint_rows(powers: Sequence[Sequence], degree: int, ops: Sequence[str]) -> list[list]:
+    """One block of rows per op, from powers[n] = the coefficients of t^n mod h.
+
+    Column e of block op is c * (t^n mod h) when the op-derivative of the
+    monomial e is c x^i y^j z^k with n = 3i + j, i.e. op(monomial e) at
+    (t^3, t, 1) mod h.  The table may hold rationals or residues mod p.
+    """
     mons = _monomials(degree)
+    height = max(map(len, powers))  # deg h: t^(deg h - 1) is its own remainder
     rows = []
     for op in ops:
-        block = [[Fraction(0)] * len(mons) for _ in range(h.degree)]
+        block = [[0] * len(mons) for _ in range(height)]
         for col, e in enumerate(mons):
-            derived = _apply_ops(TriPoly.monomial(e), op)
-            rep = qr_reduce(derived.param_eval(), h)
-            for d in range(rep.degree + 1):
-                block[d][col] = rep.coeff(d)
+            for (i, j, _), c in _apply_ops(TriPoly.monomial(e), op).terms.items():
+                for d, r in enumerate(powers[3 * i + j]):
+                    block[d][col] = int(c) * r
         rows.extend(block)
     return rows
 
 
 def _space_through_points(seed: SeedPoly, degree: int, ops: Sequence[str]) -> list[TriPoly]:
     mons = _monomials(degree)
-    kernel = q_kernel_basis(_constraint_rows(seed.h, degree, ops), len(mons))
+    powers = [qr_reduce(UniPoly([0] * n + [1]), seed.h).coeffs for n in range(3 * degree + 1)]
+    kernel = q_kernel_basis(_constraint_rows(powers, degree, ops), len(mons))
     return [TriPoly({e: c for e, c in zip(mons, vec) if c != 0}) for vec in kernel]
 
 
 def cubic_space(seed: SeedPoly) -> list[TriPoly]:
     """Basis of cubic forms vanishing at all eight seed points."""
     return _space_through_points(seed, 3, [""])
-
-
-def _fp_constraint_rows(h: UniPoly, degree: int, ops: Sequence[str], p: int) -> list[list[int]]:
-    """The matrix of _constraint_rows reduced mod p, built over F_p.
-
-    Column e of block op is c * (t^n mod h) when the op-derivative of the
-    monomial e is c x^i y^j z^k with n = 3i + j.  Raises PrimeSkip when p
-    divides a denominator of h.
-    """
-    hp = poly_mod_p(h, p)
-    powers = [fp_rem([0] * n + [1], hp, p) for n in range(3 * degree + 1)]
-    mons = _monomials(degree)
-    rows = []
-    for op in ops:
-        block = [[0] * len(mons) for _ in range(h.degree)]
-        for col, e in enumerate(mons):
-            for (i, j, _), c in _apply_ops(TriPoly.monomial(e), op).terms.items():
-                for d, r in enumerate(powers[3 * i + j]):
-                    block[d][col] = int(c) * r % p
-        rows.extend(block)
-    return rows
 
 
 _SEXTIC_OPS = ("", "x", "y")
@@ -243,10 +228,12 @@ def sextic_space(seed: SeedPoly, forms: list[TriPoly]) -> list[TriPoly]:
     kernel.  The condition matrix has rational entries whose denominators
     divide powers of those of h, so when the prime CERT_PRIME divides none
     of them the matrix reduces mod p and its rank over Q is at least its
-    rank over F_p (a nonzero minor mod p is nonzero).  F_p rank 24
-    therefore bounds the Q-dimension by 28 - 24 = 4; four forms lying in
-    the system exactly (reduction modulo h over Q) and independent over Q
-    then make it exactly 4, with them as a basis.  The certificate is
+    rank over F_p (a nonzero minor mod p is nonzero).  The F_p matrix is
+    built by the same _constraint_rows, run on t^n mod h-bar (h reduced
+    mod p) instead of t^n mod h.  F_p rank 24 therefore bounds the
+    Q-dimension by 28 - 24 = 4; four forms lying in the system exactly
+    (reduction modulo h over Q) and independent over Q then make it
+    exactly 4, with them as a basis.  The certificate is
     one-sided: if p divides a denominator of h, the F_p rank is below 24,
     a form fails a condition or the forms are dependent, the exact kernel
     is computed, and the forms are a basis iff they are four independent
@@ -254,9 +241,12 @@ def sextic_space(seed: SeedPoly, forms: list[TriPoly]) -> list[TriPoly]:
     """
     h, p = seed.h, CERT_PRIME
     try:
-        rows = _fp_constraint_rows(h, 6, _SEXTIC_OPS, p)
+        hp = poly_mod_p(h, p)
     except PrimeSkip:
         rows = []
+    else:
+        powers = [fp_rem([0] * n + [1], hp, p) for n in range(3 * 6 + 1)]
+        rows = _constraint_rows(powers, 6, _SEXTIC_OPS)
     if (
         fp_rank(rows, p) == 24
         and all(_vanishes_doubly(f, h) for f in forms)
@@ -297,17 +287,13 @@ def multiplicity_report(bundle: CurveBundle) -> list[Check]:
     nonzero = (op or "value" for op in ops if not tri_eval_param(_apply_ops(q, op), h).is_zero)
     failed = next(nonzero, None)
     ok2 = failed is None
-    g = h
-    for combo in itertools.combinations_with_replacement(_VARS, 3):
-        rep = tri_eval_param(_apply_ops(q, "".join(combo)), h)
-        if not rep.is_zero:
-            g = g.gcd(rep)
-            if g.degree == 0:
-                break
-    order3_gcd = g if g.degree > 0 else UniPoly([1])
+    g = common_factor(h, (
+        tri_eval_param(_apply_ops(q, "".join(combo)), h)
+        for combo in itertools.combinations_with_replacement(_VARS, 3)
+    ))
     return [
         Check("vanishing_to_order_2", ok2, {"failed_derivative": failed}),
-        Check("multiplicity_exactly_3", ok2 and g.degree == 0, {"order3_gcd": order3_gcd}),
+        Check("multiplicity_exactly_3", ok2 and g.degree == 0, {"order3_gcd": g}),
     ]
 
 

@@ -43,7 +43,7 @@ class GaloisCertificate:
         return self.verdict != INCONCLUSIVE
 
 
-def certify_galois(seed: SeedPoly, prime_bound: int = 500) -> GaloisCertificate:
+def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
     """Sample ascending primes up to the bound and certify if possible.
 
     Stops as soon as both witnesses are found; primes where the seed is

@@ -363,20 +363,16 @@ def picard_model_check() -> Check:
     """Gram identities in the blow-up model of the rank-9 Picard lattice.
 
     Basis f_0, l_1, ..., l_8 with f_0^2 = 1 and l_b^2 = -1; the canonical
-    class is K = -3 f_0 + sum l_b.  The vectors v_i = l_i + K pair to -2
-    on the diagonal and -1 off it, and their mod-2 images are linearly
-    independent with a nonsingular all-ones-off-diagonal pairing matrix.
+    class is K = -3 f_0 + sum l_b, the omega of build_hyperbolic(1).  The
+    vectors v_i = l_i + K pair to -2 on the diagonal and -1 off it, and
+    their mod-2 images are linearly independent with a nonsingular
+    all-ones-off-diagonal pairing matrix.
     """
-    n = 8
-    rank = n + 1
-    gram = tuple(
-        tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
-        for i in range(rank)
-    )
-    lat = IntLattice(rank, gram)
-    k = tuple([-3] + [1] * n)
+    marked = build_hyperbolic(1)
+    lat, k = marked.lattice, marked.omega
+    n = lat.rank - 1
     vs = []
-    for i in range(1, rank):
+    for i in range(1, lat.rank):
         v = list(k)
         v[i] += 1
         vs.append(tuple(v))
@@ -385,7 +381,7 @@ def picard_model_check() -> Check:
     off_ok = all(
         lat.pair(vs[i], vs[j]) == -1 for i in range(n) for j in range(n) if i != j
     )
-    masks = [sum((v[c] & 1) << c for c in range(rank)) for v in vs]
+    masks = [sum((v[c] & 1) << c for c in range(lat.rank)) for v in vs]
     independent = f2_rank(masks) == n
     mod2_rows = [
         sum((lat.pair(vs[i], vs[j]) & 1) << j for j in range(n)) for i in range(n)
@@ -410,8 +406,9 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     `lat` is the rank-8 complement and `roots` its norm -2 vectors.
     Enumerates all 255 nonzero mod-2 classes, counts the values of q,
     identifies the classes hit by the 240 roots, and checks that every
-    root reflection descends to a q-preserving map.  Raises
-    ArithmeticError if `lat` has a vector of odd norm.
+    root reflection descends to a q-preserving map; a reflection mod 2
+    depends only on the class of its root, so each class is checked once.
+    Raises ArithmeticError if `lat` has a vector of odd norm.
     """
     n = lat.rank
 
@@ -430,23 +427,18 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     root_masks = sorted({sum((r[i] & 1) << i for i in range(n)) for r in roots})
     roots_q1 = all(qvals[m] == 1 for m in root_masks)
 
-    preserve = True
-    for r in roots:
-        gr = [lat.pair(r, tuple(int(i == j) for i in range(n))) for j in range(n)]
-        cols = []
-        for i in range(n):
-            col = [(int(i == j) + gr[i] * r[j]) & 1 for j in range(n)]
-            cols.append(sum(bit << j for j, bit in enumerate(col)))
-        for mask in range(1 << n):
-            img = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    img ^= cols[i]
-            if qvals[img] != qvals[mask]:
-                preserve = False
-                break
-        if not preserve:
-            break
+    # mod 2 the reflection x -> x + (x, r) r in a root of class m adds m
+    # to x when (x, m) is odd; odd[m] has bit j set when (e_j, m) is odd
+    odd = {
+        m: sum((lat.pair(lift(1 << j), lift(m)) & 1) << j for j in range(n))
+        for m in root_masks
+    }
+    preserve = all(
+        qvals[x ^ m] == qvals[x]
+        for m in root_masks
+        for x in range(1 << n)
+        if (x & odd[m]).bit_count() & 1
+    )
 
     return Check(
         "mod2_census",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import comb
 
 from .curve import SeedPoly, U_FORM
-from .quotient import tri_eval_param
+from .quotient import common_factor, tri_eval_param
 from .serialize import Check
 from .tripoly import TriPoly
 from .unipoly import from_power_sums, power_sums, root_sum_power_sums, root_sum_poly
@@ -88,7 +88,7 @@ def check_six_conic(seed: SeedPoly) -> Check:
     six parameters sum to zero exactly when the other two do; that pairs
     a root a with -a, i.e. makes gcd(h(t), h(-t)) nonconstant.
     """
-    g = seed.h.gcd(seed.h.reflect())
+    g = common_factor(seed.h, [seed.h.reflect()])
     return Check("no_six_on_conic", g.degree == 0, {"paired_root_factor": g})
 
 
@@ -106,16 +106,11 @@ def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
     h = seed.h
     row_u = [tri_eval_param(U_FORM.derivative(s), h) for s in ("x", "y", "z")]
     row_v = [tri_eval_param(v.derivative(s), h) for s in ("x", "y", "z")]
-    minors = [
+    minors = (
         (row_u[a] * row_v[b] - row_u[b] * row_v[a]) % h
         for a, b in ((0, 1), (0, 2), (1, 2))
-    ]
-    g = h
-    for m in minors:
-        if not m.is_zero:
-            g = g.gcd(m)
-            if g.degree == 0:
-                break
+    )
+    g = common_factor(h, minors)
     return Check(
         "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}
     )

@@ -199,9 +199,6 @@ class UniPoly:
                 rem[i - dd + j] -= q * divisor.coeffs[j]
         return UniPoly(quot), UniPoly(rem[:dd])
 
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        return self.divrem(other)[0]
-
     def __mod__(self, other: UniPoly) -> UniPoly:
         return self.divrem(other)[1]
 

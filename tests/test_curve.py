@@ -32,7 +32,8 @@ from delpezzo1 import (
     verify_bundle,
 )
 from delpezzo1.curve import _nth_root_form, forms_rank
-from delpezzo1.quotient import tri_eval_param
+from delpezzo1.finitefield import fp_rem, poly_mod_p
+from delpezzo1.quotient import qr_reduce, tri_eval_param
 
 
 class TestValidateSeed:
@@ -271,12 +272,17 @@ class TestSexticCertificate:
             assert forms_rank(basis, 6) == forms_rank(oracle, 6) == forms_rank(basis + oracle, 6)
 
     def test_fp_rows_reduce_the_exact_rows(self):
+        # one builder, fed t^n mod h over Q or t^n mod (h mod p) over F_p
         p = curve.CERT_PRIME
         for coeffs in (X8_COEFFS, FIXED_FRACTION_COEFFS):
             h = validate_seed(coeffs).h
-            exact = curve._constraint_rows(h, 6, SEXTIC_OPS)
+            hp = poly_mod_p(h, p)
+            t_powers = [UniPoly([0] * n + [1]) for n in range(19)]
+            exact = curve._constraint_rows([qr_reduce(t, h).coeffs for t in t_powers], 6, SEXTIC_OPS)
+            fp = curve._constraint_rows([fp_rem(poly_mod_p(t, p), hp, p) for t in t_powers], 6, SEXTIC_OPS)
             reduced = [[c.numerator * pow(c.denominator, -1, p) % p for c in row] for row in exact]
-            assert curve._fp_constraint_rows(h, 6, SEXTIC_OPS, p) == reduced
+            assert len(exact) == 24
+            assert [[c % p for c in row] for row in fp] == reduced
 
     @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
     def test_certified_path_computes_no_kernel(self, coeffs, monkeypatch):

@@ -148,11 +148,16 @@ class TestPicard:
         assert independent and vanish
 
 
+def _e8_with_roots():
+    marked = build_hyperbolic(1)
+    comp = orth_complement(marked.lattice, marked.omega)
+    return comp.lattice, enumerate_short_vectors(comp.lattice, -2)
+
+
 class TestCensus:
     def test_counts_and_reflections(self):
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        check = mod2_quadratic_census(comp.lattice, enumerate_short_vectors(comp.lattice, -2))
+        lat, roots = _e8_with_roots()
+        check = mod2_quadratic_census(lat, roots)
         rep = check.witness
         assert rep["nonzero_q1"] == 120
         assert rep["nonzero_q0"] == 135
@@ -162,6 +167,39 @@ class TestCensus:
         assert rep["root_classes_all_q1"]
         assert rep["reflections_preserve_q"]
         assert check.passed
+
+    def test_sum_of_orthogonal_roots_is_caught(self):
+        # r1 + r2 has norm -4, so q = 0 on its class, and reflecting in it
+        # adds that class to every x pairing oddly with it, changing q(x)
+        lat, roots = _e8_with_roots()
+        r1 = roots[0]
+        r2 = next(r for r in roots if lat.pair(r1, r) == 0)
+        extra = tuple(a + b for a, b in zip(r1, r2))
+        assert lat.norm(extra) == -4
+        check = mod2_quadratic_census(lat, roots + [extra])
+        assert not check.witness["root_classes_all_q1"]
+        assert not check.witness["reflections_preserve_q"]
+        assert not check.passed
+
+    def test_reflection_mod_2_depends_only_on_the_root_class(self):
+        # e_i + (e_i, r) r mod 2 is e_i + m when (e_i, m) is odd, for m the
+        # 0/1 lift of the class of r, and e_i otherwise
+        lat, roots = _e8_with_roots()
+        n = lat.rank
+
+        def lift(mask):
+            return tuple(mask >> i & 1 for i in range(n))
+
+        def reduce(v):
+            return sum((c & 1) << i for i, c in enumerate(v))
+
+        for r in roots:
+            m = reduce(r)
+            for i in range(n):
+                e = lift(1 << i)
+                image = tuple(a + lat.pair(e, r) * b for a, b in zip(e, r))
+                per_class = (1 << i) ^ m if lat.pair(e, lift(m)) & 1 else 1 << i
+                assert reduce(image) == per_class
 
     def test_only_defined_for_even_lattices(self):
         odd = IntLattice(1, ((-1,),))
