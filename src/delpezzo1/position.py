@@ -23,7 +23,14 @@ from .curve import SeedPoly, U_FORM
 from .quotient import common_factor, tri_eval_param
 from .serialize import Check
 from .tripoly import TriPoly
-from .unipoly import from_power_sums, power_sums, root_sum_power_sums, root_sum_poly
+from .unipoly import (
+    _exact_quotient,
+    from_power_sums,
+    power_sums,
+    root_denominator,
+    root_sum_power_sums,
+    root_sum_poly,
+)
 
 
 def check_three_collinear(seed: SeedPoly) -> Check:
@@ -49,9 +56,15 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     and p_k(T) is the binomial convolution of p_k(h) with p_k(pair_sums),
     so g follows from its power sums up to k = 56 (the composed-sum method
     of Bostan, Flajolet, Salvy and Schost).  E/h3 is an exact division,
-    which raises ArithmeticError if h3 does not divide E.  The test is
-    g(0) != 0; the witness reports T_distinct(0) = g(0)^6 and the degrees
-    of T, E, h3 and T_distinct.
+    which raises ArithmeticError if h3 does not divide E.
+
+    The deflated branch runs on Python ints: it scales the roots of h by
+    D = root_denominator(h) (D = 1 for an integer seed), so h_D = D^8 h(t/D)
+    and every polynomial above is monic with integer coefficients, and the
+    division by 6 is checked like those in from_power_sums.  The test is
+    g(0) != 0; the witness scales back exactly, reporting
+    T_distinct(0) = g(0)^6 = (g_D(0) / D^56)^6, with the degrees of T, E,
+    h3 and T_distinct.
     """
     h = seed.h
     pair_sums = root_sum_poly(h, h)
@@ -59,13 +72,15 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     if t_at_0 != 0:
         return Check("no_three_collinear", True, {"path": "fast", "triple_product": t_at_0})
     count = comb(h.degree, 3)
-    twice_plus = root_sum_poly(h.scale_roots(2), h)
-    h3 = h.scale_roots(3)
-    ordered = root_sum_power_sums(h, pair_sums, count)
+    d = root_denominator(h)
+    h_d = h.scale_roots(d)
+    twice_plus = root_sum_poly(h_d.scale_roots(2), h_d)
+    h3 = h_d.scale_roots(3)
+    ordered = root_sum_power_sums(h_d, pair_sums.scale_roots(d), count)
     two_equal = power_sums(twice_plus.exact_div(h3), count)
     all_equal = power_sums(h3, count)
     distinct = from_power_sums(
-        [(t - 3 * e - d) / 6 for t, e, d in zip(ordered, two_equal, all_equal)], count
+        [_exact_quotient(t - 3 * e - a, 6) for t, e, a in zip(ordered, two_equal, all_equal)], count
     )
     degrees = {
         "triple_sums": h.degree * pair_sums.degree,
@@ -73,7 +88,7 @@ def check_three_collinear(seed: SeedPoly) -> Check:
         "triple_roots": h3.degree,
         "distinct_triples": 6 * distinct.degree,
     }
-    value = distinct(0) ** 6
+    value = (distinct.coeff(0) / d**distinct.degree) ** 6
     return Check(
         "no_three_collinear",
         value != 0,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import bareiss_det
@@ -173,6 +174,8 @@ class UniPoly:
         k = _frac(k)
         if k == 0:
             raise ValueError("scale_roots requires a nonzero factor")
+        if k == 1:
+            return self
         n = self.degree
         return UniPoly([c * k ** (n - i) for i, c in enumerate(self.coeffs)])
 
@@ -284,60 +287,78 @@ def _sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
     return Fraction(det, df_scale**m * dg_scale**n)
 
 
-# -- power sums and composed sums --------------------------------------
+# -- power sums and composed sums, on Python ints ----------------------
 
 
-def power_sums(f: UniPoly, count: int) -> list[Fraction]:
-    """Power sums p_0..p_count of the roots of f (with multiplicity).
+def root_denominator(f: UniPoly) -> int:
+    """Lcm D of the coefficient denominators of monic f (1 for integers).
 
-    Newton's identities on the monic normalization; p_0 = deg f.
+    The monic form of f.scale_roots(D) then has integer coefficients: its
+    t^(n-i) coefficient is a_i * D^i, and D is a multiple of a_i's denominator.
+    """
+    return math.lcm(*(c.denominator for c in f.monic().coeffs))
+
+
+def _exact_quotient(num: int, k: int) -> int:
+    q, r = divmod(num, k)
+    if r:
+        raise ArithmeticError(f"power sums of no monic integer polynomial: inexact division by {k}")
+    return q
+
+
+def power_sums(f: UniPoly, count: int) -> list[int]:
+    """Power sums p_0..p_count of the roots of f (with multiplicity), as ints.
+
+    The monic form of f must have integer coefficients, else ValueError.
+    root_sum_poly and the deflated branch of check_three_collinear bring a
+    rational f there by scaling its roots by D = root_denominator(f).
+    Newton's identities then need no division; p_0 = deg f.
     """
     if f.is_zero:
         raise ValueError("power sums of the zero polynomial")
     fm = f.monic()
+    if any(c.denominator != 1 for c in fm.coeffs):
+        raise ValueError("the integer power-sum kernel needs a monic integer polynomial")
+    a = [c.numerator for c in reversed(fm.coeffs)]  # a[i]: coefficient of t^(n-i)
     n = fm.degree
-    a = fm.coeffs  # a[n] == 1
-    ps: list[Fraction] = [Fraction(n)]
+    ps = [n]
     for k in range(1, count + 1):
-        s = Fraction(0)
-        for i in range(1, min(k - 1, n) + 1):
-            s += a[n - i] * ps[k - i]
+        m = min(k - 1, n)
+        s = sum(map(mul, a[1 : m + 1], reversed(ps[k - m : k])))
         if k <= n:
-            s += k * a[n - k]
+            s += k * a[k]
         ps.append(-s)
     return ps
 
 
-def from_power_sums(ps: Sequence[Fraction], degree: int) -> UniPoly:
-    """Monic polynomial of the given degree with prescribed root power sums."""
-    e: list[Fraction] = [Fraction(1)]
+def from_power_sums(ps: Sequence[int], degree: int) -> UniPoly:
+    """Monic integer polynomial of the given degree with root power sums ps.
+
+    Newton's recurrence k a_k = -(a_0 p_k + ... + a_(k-1) p_1) on ints.
+    Every division by k is checked: a nonzero remainder means ps belong
+    to no monic integer polynomial, and raises ArithmeticError.  A caller
+    that scaled roots by D scales the result back by 1/D.
+    """
+    a = [1]
     for k in range(1, degree + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            term = e[k - i] * ps[i]
-            s += term if (i % 2 == 1) else -term
-        e.append(s / k)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for k in range(degree + 1):
-        coeffs[degree - k] = e[k] if k % 2 == 0 else -e[k]
-    return UniPoly(coeffs)
+        a.append(_exact_quotient(-sum(map(mul, a, reversed(ps[1 : k + 1]))), k))
+    return UniPoly(reversed(a))
 
 
-def root_sum_power_sums(f: UniPoly, g: UniPoly, count: int) -> list[Fraction]:
-    """Power sums p_0..p_count of a+b over ordered root pairs of (f, g).
+def root_sum_power_sums(f: UniPoly, g: UniPoly, count: int) -> list[int]:
+    """Power sums p_0..p_count of a+b over ordered root pairs of (f, g), as ints.
 
     The binomial convolution p_k = sum_i C(k, i) p_i(f) p_{k-i}(g), which
-    is the expansion of sum (a+b)^k over all deg f * deg g pairs.
+    is the expansion of sum (a+b)^k over all deg f * deg g pairs.  Both
+    monic forms must have integer coefficients, as for power_sums; the
+    convolution needs no division.
     """
     pf = power_sums(f, count)
     pg = power_sums(g, count)
-    sums: list[Fraction] = []
+    sums: list[int] = []
     binom_row = [1]
     for p in range(count + 1):
-        s = Fraction(0)
-        for i in range(p + 1):
-            s += binom_row[i] * pf[i] * pg[p - i]
-        sums.append(s)
+        sums.append(sum(map(mul, map(mul, binom_row, pf), reversed(pg[: p + 1]))))
         binom_row = [1] + [binom_row[j] + binom_row[j + 1] for j in range(p)] + [1]
     return sums
 
@@ -349,9 +370,14 @@ def root_sum_poly(f: UniPoly, g: UniPoly) -> UniPoly:
     monic normalization removes: pair sums are counted with multiplicity,
     so the degree is deg f * deg g.  Computed through power sums, which
     keeps the arithmetic one-dimensional instead of eliminating a 2-variable
-    resultant.
+    resultant.  Rational coefficients are allowed: both roots are scaled
+    once by the common D = lcm(root_denominator(f), root_denominator(g)),
+    the integer kernel runs on the scaled pair, and the result is scaled
+    back by 1/D.  A division that is not exact raises ArithmeticError.
     """
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ValueError("root_sum_poly needs positive degrees")
-    return from_power_sums(root_sum_power_sums(f, g, n * m), n * m)
+    d = math.lcm(root_denominator(f), root_denominator(g))
+    sums = root_sum_power_sums(f.scale_roots(d), g.scale_roots(d), n * m)
+    return from_power_sums(sums, n * m).scale_roots(Fraction(1, d))

@@ -9,6 +9,7 @@ from delpezzo1.unipoly import (
     UniPoly,
     from_power_sums,
     power_sums,
+    root_denominator,
     root_sum_poly,
     root_sum_power_sums,
 )
@@ -191,6 +192,23 @@ class TestPowerSums:
             f = split_poly(roots)
             ps = power_sums(f, f.degree)
             assert from_power_sums(ps, f.degree) == f
+        for _ in range(15):
+            # rational roots: the integer kernel sees them scaled by D
+            roots = [Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7, 30])) for _ in range(4)]
+            f = split_poly(roots)
+            d = root_denominator(f)
+            ps = power_sums(f.scale_roots(d), f.degree)
+            assert from_power_sums(ps, f.degree).scale_roots(Fraction(1, d)) == f
+            assert root_sum_poly(f, UniPoly([0, 1])) == f
+
+    def test_rational_monic_form_rejected(self):
+        with pytest.raises(ValueError):
+            power_sums(UniPoly([Fraction(1, 2), 0, 1]), 3)
+
+    def test_inexact_newton_division_raises(self):
+        # p = (2, 1, 0) at degree 2 forces e2 = (p1^2 - p2) / 2 = 1/2
+        with pytest.raises(ArithmeticError):
+            from_power_sums([2, 1, 0], 2)
 
 
 class TestRootSumPoly:
@@ -214,17 +232,35 @@ class TestRootSumPoly:
         assert root_sum_poly(f, g) == split_poly([1, 1, 3, 3])
 
     def test_matches_resultant_definition(self):
+        # Res_t(f(t), g(s0 - t)) = lc(f)^m lc(g)^n rs(s0), n = deg f, m = deg g
         rng = random.Random(17)
-        for _ in range(10):
-            f = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
-            g = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
+
+        def rational():
+            return Fraction(rng.randint(-30, 30), rng.choice([1, 4, 6, 10, 14, 45, 63, 210]))
+
+        monic = [
+            (
+                UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]),
+                UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]),
+            )
+            for _ in range(10)
+        ]
+        rational_pairs = [
+            (
+                UniPoly([rational() for _ in range(rng.randint(1, 4))] + [Fraction(-3, 7)]),
+                UniPoly([rational() for _ in range(rng.randint(1, 4))] + [Fraction(10, 9)]),
+            )
+            for _ in range(10)
+        ]
+        for f, g in monic + rational_pairs:
             rs = root_sum_poly(f, g)
             assert rs.degree == f.degree * g.degree
-            for s0 in (0, 1, -2):
+            for s0 in (0, 1, -2, Fraction(5, 6)):
                 shifted = UniPoly()
                 for i, c in enumerate(g.coeffs):
                     shifted = shifted + c * (UniPoly([s0, -1]) ** i)
-                assert rs(s0) == f.resultant(shifted)
+                expected = f.resultant(shifted)
+                assert rs(s0) * f.lc**g.degree * g.lc**f.degree == expected
 
 
 def test_operations_are_deterministic():
