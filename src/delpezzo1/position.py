@@ -25,10 +25,11 @@ from .serialize import Check
 from .tripoly import TriPoly
 from .unipoly import (
     _exact_quotient,
+    binomial_convolution,
+    distinct_pair_sum_poly,
     from_power_sums,
     power_sums,
     root_denominator,
-    root_sum_power_sums,
     root_sum_poly,
 )
 
@@ -36,12 +37,26 @@ from .unipoly import (
 def check_three_collinear(seed: SeedPoly) -> Check:
     """No three distinct roots of the seed sum to zero.
 
-    Let pair_sums(s) run over all ordered pair sums of roots (degree 64)
-    and T(s) over all ordered triple sums (degree 512).  If
-    T(0) = Res(h(t), pair_sums(-t)) != 0 no triple at all sums to zero and
-    we are done.  Otherwise some triple WITH REPEATS may be responsible, so
-    the degenerate patterns are split off.  With E(s) covering the sums
-    2a + c (degree 64) and h3(s) the sums 3a, ordered triples partition as
+    Let T(s) run over the sums a+b+c of all 512 ordered root triples.
+    Splitting the pairs (b, c) by whether b = c, and pairing each
+    distinct (b, c) with (c, b), gives for the monic seed h
+
+        T(0) = Res(h(t), h.scale_roots(-2)) * Res(h(t), P2(-t))^2,
+
+    where the first factor is the product of a + 2b over the 64 ordered
+    root pairs (it equals Res(h(t), h(-2t)), the product of 2a + b) and
+    P2 is the monic degree-28 polynomial of the sums b+c over the C(8, 2)
+    distinct unordered pairs (distinct_pair_sum_poly).  The first factor
+    costs one resultant of two degree-8 polynomials and vanishes exactly
+    when two roots form a pair {a, -2a} (a = b would need 3a = 0, and
+    h(0) != 0): the only way a triple with a repeated root, (a, a, -2a),
+    sums to zero.  So it is taken first, and P2 is built only when it is
+    nonzero; a seed with such a pair goes to the deflated branch without
+    building any composed-sum polynomial in the fast path.  If T(0) != 0 no
+    triple at all sums to zero and we are done.  Otherwise some triple
+    WITH REPEATS may be responsible, so the degenerate patterns are split
+    off.  With E(s) covering the sums 2a + c (degree 64) and h3(s) the
+    sums 3a, ordered triples partition as
 
         T = g^6 * (E / h3)^3 * h3,
 
@@ -53,10 +68,11 @@ def check_three_collinear(seed: SeedPoly) -> Check:
 
         p_k(T) = 6 p_k(g) + 3 p_k(E/h3) + p_k(h3),
 
-    and p_k(T) is the binomial convolution of p_k(h) with p_k(pair_sums),
-    so g follows from its power sums up to k = 56 (the composed-sum method
-    of Bostan, Flajolet, Salvy and Schost).  E/h3 is an exact division,
-    which raises ArithmeticError if h3 does not divide E.
+    and p_k(T) is the binomial convolution p (x) (p (x) p) of the root
+    power sums of h with themselves, so g follows from its power sums up
+    to k = 56 (the composed-sum method of Bostan, Flajolet, Salvy and
+    Schost).  E/h3 is an exact division, which raises ArithmeticError if
+    h3 does not divide E.
 
     The deflated branch runs on Python ints: it scales the roots of h by
     D = root_denominator(h) (D = 1 for an integer seed), so h_D = D^8 h(t/D)
@@ -67,23 +83,29 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     h3 and T_distinct.
     """
     h = seed.h
-    pair_sums = root_sum_poly(h, h)
-    t_at_0 = h.resultant(pair_sums.reflect())
-    if t_at_0 != 0:
-        return Check("no_three_collinear", True, {"path": "fast", "triple_product": t_at_0})
+    doubled = h.resultant(h.scale_roots(-2))
+    if doubled != 0:
+        distinct_pairs = h.resultant(distinct_pair_sum_poly(h).reflect())
+        if distinct_pairs != 0:
+            return Check(
+                "no_three_collinear",
+                True,
+                {"path": "fast", "triple_product": doubled * distinct_pairs**2},
+            )
     count = comb(h.degree, 3)
     d = root_denominator(h)
     h_d = h.scale_roots(d)
     twice_plus = root_sum_poly(h_d.scale_roots(2), h_d)
     h3 = h_d.scale_roots(3)
-    ordered = root_sum_power_sums(h_d, pair_sums.scale_roots(d), count)
+    p = power_sums(h_d, count)
+    ordered = binomial_convolution(p, binomial_convolution(p, p))
     two_equal = power_sums(twice_plus.exact_div(h3), count)
     all_equal = power_sums(h3, count)
     distinct = from_power_sums(
         [_exact_quotient(t - 3 * e - a, 6) for t, e, a in zip(ordered, two_equal, all_equal)], count
     )
     degrees = {
-        "triple_sums": h.degree * pair_sums.degree,
+        "triple_sums": h.degree**3,
         "degenerate_pairs": twice_plus.degree,
         "triple_roots": h3.degree,
         "distinct_triples": 6 * distinct.degree,

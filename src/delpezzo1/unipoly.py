@@ -310,8 +310,9 @@ def power_sums(f: UniPoly, count: int) -> list[int]:
     """Power sums p_0..p_count of the roots of f (with multiplicity), as ints.
 
     The monic form of f must have integer coefficients, else ValueError.
-    root_sum_poly and the deflated branch of check_three_collinear bring a
-    rational f there by scaling its roots by D = root_denominator(f).
+    The root-sum polynomials and the deflated branch of
+    check_three_collinear bring a rational f there by scaling its roots by
+    D = root_denominator(f).
     Newton's identities then need no division; p_0 = deg f.
     """
     if f.is_zero:
@@ -345,19 +346,15 @@ def from_power_sums(ps: Sequence[int], degree: int) -> UniPoly:
     return UniPoly(reversed(a))
 
 
-def root_sum_power_sums(f: UniPoly, g: UniPoly, count: int) -> list[int]:
-    """Power sums p_0..p_count of a+b over ordered root pairs of (f, g), as ints.
+def binomial_convolution(pf: Sequence[int], pg: Sequence[int]) -> list[int]:
+    """Power sums of a+b over ordered pairs, from p_0..p_count of the a and of the b.
 
-    The binomial convolution p_k = sum_i C(k, i) p_i(f) p_{k-i}(g), which
-    is the expansion of sum (a+b)^k over all deg f * deg g pairs.  Both
-    monic forms must have integer coefficients, as for power_sums; the
-    convolution needs no division.
+    p_k = sum_i C(k, i) pf_i pg_(k-i), the expansion of sum (a+b)^k over
+    all pairs; pf and pg have the same length.  Needs no division.
     """
-    pf = power_sums(f, count)
-    pg = power_sums(g, count)
     sums: list[int] = []
     binom_row = [1]
-    for p in range(count + 1):
+    for p in range(len(pf)):
         sums.append(sum(map(mul, map(mul, binom_row, pf), reversed(pg[: p + 1]))))
         binom_row = [1] + [binom_row[j] + binom_row[j + 1] for j in range(p)] + [1]
     return sums
@@ -379,5 +376,35 @@ def root_sum_poly(f: UniPoly, g: UniPoly) -> UniPoly:
     if n < 1 or m < 1:
         raise ValueError("root_sum_poly needs positive degrees")
     d = math.lcm(root_denominator(f), root_denominator(g))
-    sums = root_sum_power_sums(f.scale_roots(d), g.scale_roots(d), n * m)
+    pf = power_sums(f.scale_roots(d), n * m)
+    sums = binomial_convolution(pf, power_sums(g.scale_roots(d), n * m))
     return from_power_sums(sums, n * m).scale_roots(Fraction(1, d))
+
+
+def distinct_pair_power_sums(pairs: Sequence[int], ps: Sequence[int]) -> list[int]:
+    """Power sums of a+b over unordered pairs of distinct roots, as ints.
+
+    pairs = binomial_convolution(ps, ps) runs over all ordered pairs of
+    roots; dropping the pairs (a, a) leaves each distinct pair twice, so
+    the k-th sum is (pairs_k - 2^k ps_k) / 2.  The halving is checked like
+    the divisions in from_power_sums and raises ArithmeticError on an odd
+    numerator, which a true convolution never gives.
+    """
+    return [_exact_quotient(s - (p << k), 2) for k, (s, p) in enumerate(zip(pairs, ps))]
+
+
+def distinct_pair_sum_poly(f: UniPoly) -> UniPoly:
+    """Monic polynomial whose roots are a+b over the C(n, 2) pairs of distinct roots of f.
+
+    The pairs are unordered and taken by position, so a repeated root of
+    f contributes its doubled value once per pair of copies.  Built like
+    root_sum_poly, with roots scaled once by D = root_denominator(f);
+    since the power sums are needed only up to k = C(n, 2), this is far
+    cheaper than root_sum_poly(f, f), whose degree is n^2.
+    """
+    n = f.degree
+    count = n * (n - 1) // 2
+    d = root_denominator(f)
+    ps = power_sums(f.scale_roots(d), count)
+    sums = distinct_pair_power_sums(binomial_convolution(ps, ps), ps)
+    return from_power_sums(sums, count).scale_roots(Fraction(1, d))

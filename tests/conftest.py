@@ -7,6 +7,8 @@ deflated collinearity path):
 * COLLINEAR_BAD   roots 1, 2, -3, 4, 5, 6, -7, -8   (1 + 2 - 3 = 0)
 * CONIC_BAD       roots 2, -2, 1, 5, 24, -4, -11, -15   (2 + -2 = 0)
 * SLOW_PATH_GOOD  roots 1, -2, 4, 11, 23, -7, -13, -17  (2*1 + -2 = 0 only)
+* DISTINCT_TRIPLE_BAD  roots -10, -7, -5, -4, -2, 6, 9, 13  (-4 + -2 + 6 = 0,
+  no pair {a, -2a}: the fast path's first factor is nonzero, its second zero)
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ X8_COEFFS = [-1, -1, 0, 0, 0, 0, 0, 0, 1]
 COLLINEAR_BAD = [-40320, 61104, -15508, -8340, 3009, 156, -102, 0, 1]
 CONIC_BAD = [316800, -264240, -145924, 78300, 18609, -3060, -486, 0, 1]
 SLOW_PATH_GOOD = [3131128, -1896786, -1542811, 239940, 71151, -2034, -589, 0, 1]
+DISTINCT_TRIPLE_BAD = [-1965600, -1647480, -268852, 64734, 16371, -534, -240, 0, 1]
 
 # the fractional seed the benchmark's verify workload always includes
 FIXED_FRACTION_COEFFS = ["1/6", "-5/12", "7/10", "3/4", "-3/5", "1/15", "2/3", "0", "1"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     COLLINEAR_BAD,
     CONIC_BAD,
+    DISTINCT_TRIPLE_BAD,
     SLOW_PATH_GOOD,
     X8_COEFFS,
     float_position_oracle,
@@ -25,8 +26,9 @@ from delpezzo1 import (
     position_checks,
     validate_seed,
 )
+from delpezzo1.curve import SeedError
 from delpezzo1.quotient import tri_eval_param
-from delpezzo1.unipoly import UniPoly
+from delpezzo1.unipoly import UniPoly, distinct_pair_sum_poly, root_sum_poly
 
 
 class TestCollinear:
@@ -73,6 +75,50 @@ class TestCollinear:
                         brute *= -(a + b + c)
         check = check_three_collinear(seed)
         assert check.witness["distinct_triple_product"] == brute
+
+    def test_distinct_zero_triple_is_caught_by_the_pair_factor(self):
+        h = validate_seed(DISTINCT_TRIPLE_BAD).h
+        assert h.resultant(h.scale_roots(-2)) != 0
+        assert h.resultant(distinct_pair_sum_poly(h).reflect()) == 0
+        check = check_three_collinear(validate_seed(DISTINCT_TRIPLE_BAD))
+        assert not check.passed
+        assert check.witness["path"] == "deflated"
+        assert check.witness["distinct_triple_product"] == 0
+
+
+@st.composite
+def seed_polys(draw):
+    """Normalized octics like the benchmark's: small, 100-bit or p/q up to 10^6."""
+    coefficient = draw(
+        st.sampled_from(
+            [
+                st.integers(-9, 9),
+                st.integers(-(2**100), 2**100),
+                st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+            ]
+        )
+    )
+    coeffs = draw(st.lists(coefficient, min_size=7, max_size=7))
+    assume(coeffs[0] != 0)
+    try:
+        return validate_seed([*coeffs, 0, 1])
+    except SeedError:
+        assume(False)
+
+
+class TestFastPathFactorization:
+    """T(0) = Res(h, h.scale_roots(-2)) * Res(h, P2(-t))^2 against the degree-64 form."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed_polys())
+    def test_triple_product_matches_ordered_pair_sums(self, seed):
+        h = seed.h
+        expected = h.resultant(root_sum_poly(h, h).reflect())
+        check = check_three_collinear(seed)
+        if check.witness["path"] == "fast":
+            assert check.witness["triple_product"] == expected
+        else:
+            assert expected == 0
 
 
 @st.composite

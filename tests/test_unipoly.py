@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from delpezzo1.unipoly import (
     UniPoly,
+    binomial_convolution,
+    distinct_pair_power_sums,
+    distinct_pair_sum_poly,
     from_power_sums,
     power_sums,
     root_denominator,
     root_sum_poly,
-    root_sum_power_sums,
 )
 
 H8 = UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1])  # t^8 - t - 1
@@ -219,7 +221,8 @@ class TestRootSumPoly:
             rg = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
             count = rng.randint(0, 12)
             brute = [sum((a + b) ** k for a in rf for b in rg) for k in range(count + 1)]
-            assert root_sum_power_sums(split_poly(rf), split_poly(rg), count) == brute
+            pf, pg = power_sums(split_poly(rf), count), power_sums(split_poly(rg), count)
+            assert binomial_convolution(pf, pg) == brute
 
     def test_split_inputs(self):
         f = split_poly([1, 2])
@@ -261,6 +264,36 @@ class TestRootSumPoly:
                     shifted = shifted + c * (UniPoly([s0, -1]) ** i)
                 expected = f.resultant(shifted)
                 assert rs(s0) * f.lc**g.degree * g.lc**f.degree == expected
+
+
+int_roots = st.lists(st.integers(-40, 40), min_size=1, max_size=8)
+rational_roots = st.lists(
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 12, 30])),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestDistinctPairSumPoly:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(int_roots, rational_roots))
+    def test_matches_product_over_distinct_pairs(self, roots):
+        # pairs are taken by position, so repeated roots count once per pair of copies
+        brute = split_poly([a + b for i, a in enumerate(roots) for b in roots[i + 1 :]])
+        assert distinct_pair_sum_poly(split_poly(roots)) == brute
+
+    def test_degree_and_rational_leading_coefficient(self):
+        f = Fraction(-3, 7) * split_poly([1, Fraction(1, 2), -4])
+        assert distinct_pair_sum_poly(f) == split_poly([Fraction(3, 2), -3, Fraction(-7, 2)])
+        assert distinct_pair_sum_poly(H8).degree == 28
+
+    def test_odd_halving_numerator_raises(self):
+        # root power sums (2, 0) with fabricated ordered pair sums (2, 1):
+        # (1 - 2 * 0) / 2 is not an integer
+        with pytest.raises(ArithmeticError):
+            distinct_pair_power_sums([2, 1], [2, 0])
+        ps = power_sums(split_poly([3, -5]), 1)
+        assert distinct_pair_power_sums(binomial_convolution(ps, ps), ps) == [1, -2]
 
 
 def test_operations_are_deterministic():
