@@ -29,15 +29,12 @@ from .linalg import fp_rank, q_kernel_basis, q_rank
 from .quotient import common_factor, qr_reduce, tri_eval_param
 from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
-from .unipoly import Scalar, UniPoly
+from .unipoly import CERT_PRIME, Scalar, UniPoly
 
 # The cuspidal cubic through every seed point, fixed once and for all.
 U_FORM = TriPoly({(1, 0, 2): 1, (0, 3, 0): -1})
 
 _VARS = ("x", "y", "z")
-
-# The prime of the sextic certificate: large, so that a rank drop is rare.
-CERT_PRIME = 2**31 - 1
 
 
 class SeedError(ValueError):

@@ -8,9 +8,10 @@ deliberately left out: at stage d the factor count is deg/d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .unipoly import UniPoly
+if TYPE_CHECKING:
+    from .unipoly import UniPoly
 
 FpPoly = list[int]  # ascending coefficients in [0, p)
 

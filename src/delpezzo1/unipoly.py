@@ -13,9 +13,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
+from .finitefield import PrimeSkip, fp_gcd, poly_mod_p
 from .linalg import bareiss_det
 
 Scalar = int | Fraction
+
+# The prime of the one-sided mod-p certificates (gcd coprimality here, the
+# sextic rank in curve): large, so that a spurious common root or a rank
+# drop modulo it is rare.
+CERT_PRIME = 2**31 - 1
 
 # Degree bound below which resultants go straight to Sylvester/Bareiss
 # instead of Euclidean degree reduction.
@@ -182,25 +188,45 @@ class UniPoly:
     # -- Euclidean structure -------------------------------------------
 
     def divrem(self, divisor: UniPoly) -> tuple[UniPoly, UniPoly]:
-        """Quotient and remainder with deg r < deg divisor."""
+        """Quotient and remainder with deg r < deg divisor, on Python ints.
+
+        The divisor is made monic and denominators are cleared once:
+        F = d*self and G = c*divisor/lc, with d and c the lcms of the
+        denominators of self and of the monic divisor (c = 1 for an integer
+        monic divisor such as every integer seed).  The loop is integer
+        pseudo-division, c^k F = Q G + R with k = deg F - deg G + 1: each
+        step scales the partial remainder by c, which it skips when c = 1,
+        and the quotient digit found at t^j stands for Q_j = q_j c^j.  So
+        self = Q / (c^(k-1) d lc) * divisor + R / (c^k d), and each output
+        coefficient is built as one Fraction.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < divisor.degree:
-            return UniPoly(), self
-        rem = list(self.coeffs)
         dd = divisor.degree
-        inv_lc = 1 / divisor.lc
-        quot = [Fraction(0)] * (len(rem) - dd)
+        if self.degree < dd:
+            return UniPoly(), self
+        lc = divisor.lc
+        g, c = _clear_denominators(divisor.coeffs if lc == 1 else [a / lc for a in divisor.coeffs])
+        rem, d = _clear_denominators(self.coeffs)
+        low = g[:-1]
+        quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c * inv_lc
-            quot[i - dd] = q
-            rem[i] = Fraction(0)
-            for j in range(dd):
-                rem[i - dd + j] -= q * divisor.coeffs[j]
-        return UniPoly(quot), UniPoly(rem[:dd])
+            q = rem[i]
+            if c != 1:
+                rem[:i] = [r * c for r in rem[:i]]
+            if q:
+                quot[i - dd] = q
+                for j, b in enumerate(low, i - dd):
+                    rem[j] -= q * b
+        k = len(quot)
+        rem_den = c**k * d
+        return (
+            UniPoly([
+                Fraction(q * lc.denominator, c ** (k - 1 - j) * d * lc.numerator)
+                for j, q in enumerate(quot)
+            ]),
+            UniPoly([Fraction(r, rem_den) for r in rem[:dd]]),
+        )
 
     def __mod__(self, other: UniPoly) -> UniPoly:
         return self.divrem(other)[1]
@@ -212,10 +238,17 @@ class UniPoly:
         return q
 
     def gcd(self, other: UniPoly) -> UniPoly:
-        """Monic greatest common divisor."""
+        """Monic greatest common divisor.
+
+        A coprime pair certified modulo CERT_PRIME (_coprime_mod_p) gets the
+        constant 1 at once; any other pair runs the exact Euclidean
+        algorithm.
+        """
         a, b = self, other
         if a.is_zero and b.is_zero:
             raise ValueError("gcd(0, 0) is undefined")
+        if _coprime_mod_p(a, b):
+            return UniPoly([1])
         while not b.is_zero:
             a, b = b, a % b
         return a.monic()
@@ -245,7 +278,7 @@ class UniPoly:
                 f, g = g, f
             if f.degree <= _BAREISS_CUTOFF:
                 return sign * acc * _sylvester_resultant(f, g)
-            q, r = f.divrem(g)
+            r = f % g
             if r.is_zero:
                 return Fraction(0)
             if (f.degree & 1) and (g.degree & 1):
@@ -262,14 +295,32 @@ class UniPoly:
         return sign * self.resultant(self.derivative()) / self.lc
 
 
-def _clear_denominators(f: UniPoly) -> tuple[list[int], int]:
-    lcm = math.lcm(*(c.denominator for c in f.coeffs))
-    return [int(c * lcm) for c in f.coeffs], lcm
+def _coprime_mod_p(f: UniPoly, g: UniPoly) -> bool:
+    """True only if f and g are coprime over Q, decided modulo p = CERT_PRIME.
+
+    When p divides no denominator and neither degree drops mod p, the
+    Sylvester matrix of the reductions is that of f and g reduced mod p,
+    so Res(f mod p, g mod p) = Res(f, g) mod p.  A gcd of 1 over F_p makes
+    that nonzero, so Res(f, g) != 0 and f, g share no root.  The test is
+    one-sided: False says nothing, and the caller runs the exact Euclid.
+    """
+    p = CERT_PRIME
+    try:
+        fp, gp = poly_mod_p(f, p), poly_mod_p(g, p)
+    except PrimeSkip:
+        return False
+    return len(fp) == len(f.coeffs) and len(gp) == len(g.coeffs) and len(fp_gcd(fp, gp, p)) == 1
+
+
+def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the common denominator lcm, and that lcm."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
 
 
 def _sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    fi, df_scale = _clear_denominators(f)
-    gi, dg_scale = _clear_denominators(g)
+    fi, df_scale = _clear_denominators(f.coeffs)
+    gi, dg_scale = _clear_denominators(g.coeffs)
     n, m = f.degree, g.degree
     size = n + m
     rows = []

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import COLLINEAR_BAD, CONIC_BAD, FIXED_FRACTION_COEFFS, X8_COEFFS
+from delpezzo1 import curve, unipoly
+from delpezzo1.cli import main
 from delpezzo1.unipoly import (
     UniPoly,
     binomial_convolution,
@@ -31,6 +34,35 @@ def split_poly(roots) -> UniPoly:
     return acc
 
 
+def fraction_long_division(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Schoolbook division over Fraction: the oracle for the integer kernel."""
+    rem = list(f.coeffs)
+    dd = g.degree
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        q = rem[i] / g.lc
+        quot[i - dd] = q
+        for j, b in enumerate(g.coeffs):
+            rem[i - dd + j] -= q * b
+    return UniPoly(quot), UniPoly(rem[:dd])
+
+
+def fraction_euclid_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    while not g.is_zero:
+        f, g = g, fraction_long_division(f, g)[1]
+    return f.monic()
+
+
+# coefficients of the three seed kinds: small, 100-bit, and p/q up to 10^6
+coefficients = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+dividends = st.lists(coefficients, max_size=14).map(UniPoly)
+divisors = st.lists(coefficients, min_size=1, max_size=9).map(UniPoly).filter(bool)
+
+
 class TestDivrem:
     def test_single_step_long_division(self):
         q, r = UniPoly.monomial(8).divrem(H8)
@@ -50,6 +82,10 @@ class TestDivrem:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             UniPoly([1, 1]).divrem(UniPoly())
+        with pytest.raises(ZeroDivisionError):
+            H8 % UniPoly()
+        with pytest.raises(ZeroDivisionError):
+            H8.exact_div(UniPoly())
 
     @given(small_polys, nonzero_polys)
     @settings(max_examples=200, deadline=None)
@@ -57,6 +93,30 @@ class TestDivrem:
         q, r = f.divrem(g)
         assert q * g + r == f
         assert r.is_zero or r.degree < g.degree
+
+    # rational and non-monic divisors, deg f < deg g, tall coefficients;
+    # the example's monic divisor t^2 + t/6 - 1/35 has c = 210
+    @given(dividends, divisors)
+    @example(
+        UniPoly([Fraction(1, 4), 0, -5, Fraction(2, 3), 0, 11]),
+        UniPoly([Fraction(-3, 5), Fraction(7, 2), 21]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_long_division(self, f, g):
+        assert f.divrem(g) == fraction_long_division(f, g)
+        assert f % g == fraction_long_division(f, g)[1]
+
+    @given(dividends, divisors)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_remainder(self, q, g):
+        assert (q * g).divrem(g) == (q, UniPoly())
+        assert (q * g).exact_div(g) == q
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            H8.exact_div(UniPoly([-1, 1]))
+        with pytest.raises(ArithmeticError):
+            UniPoly([1, 0, 1]).exact_div(UniPoly([0, 2]))
 
 
 class TestGcd:
@@ -72,6 +132,107 @@ class TestGcd:
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             UniPoly().gcd(UniPoly())
+
+    @given(dividends, divisors)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_euclid(self, f, g):
+        common = g.monic() if g.degree else UniPoly([1, 1])
+        assert (f * common).gcd(g * common) == fraction_euclid_gcd(f * common, g * common)
+        assert f.gcd(g) == fraction_euclid_gcd(f, g)
+
+
+FALLBACK_COEFFS = [  # roots 1, 1 + p, 16, 25, 19, 13, 5, -80 - p for p = 2^31 - 1
+    -2278172976910826471424000, 3262468218463381668199760, -1135198836998863034596437,
+    161621154147402497519384, -11077270223764790345069, 364323208858209246296,
+    -4611686188078599935, 0, 1,
+]
+
+
+def _count_divisions(monkeypatch) -> list:
+    calls = []
+    original = UniPoly.divrem
+
+    def counted(self, divisor):
+        calls.append(divisor.degree)
+        return original(self, divisor)
+
+    monkeypatch.setattr(UniPoly, "divrem", counted)
+    return calls
+
+
+class TestGcdCertificate:
+    def test_certified_path_runs_no_euclid(self, monkeypatch):
+        calls = _count_divisions(monkeypatch)
+        h = curve.validate_seed(FIXED_FRACTION_COEFFS).h
+        assert h.gcd(h.derivative()) == UniPoly([1])
+        assert H8.gcd(H8.reflect()) == UniPoly([1])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        ("f", "g", "expected"),
+        [
+            # p divides a denominator
+            (
+                split_poly([Fraction(1, unipoly.CERT_PRIME), 2]),
+                split_poly([Fraction(1, unipoly.CERT_PRIME), -5]),
+                UniPoly([Fraction(-1, unipoly.CERT_PRIME), 1]),
+            ),
+            # the leading coefficient of g vanishes mod p: g is 1 mod p, yet
+            # f = t g shares the root -1/p with it
+            (
+                UniPoly([0, 1, unipoly.CERT_PRIME]),
+                UniPoly([1, unipoly.CERT_PRIME]),
+                UniPoly([Fraction(1, unipoly.CERT_PRIME), 1]),
+            ),
+            # a root shared only mod p
+            (split_poly([1, 3]), split_poly([1 + unipoly.CERT_PRIME]), UniPoly([1])),
+        ],
+        ids=["denominator", "leading_coefficient", "root_only_mod_p"],
+    )
+    def test_fallback_cases(self, f, g, expected, monkeypatch):
+        assert not unipoly._coprime_mod_p(f, g)
+        calls = _count_divisions(monkeypatch)
+        assert f.gcd(g) == expected == fraction_euclid_gcd(f, g)
+        assert calls
+
+    def test_squarefree_seed_split_mod_p_takes_the_exact_gcd(self, monkeypatch):
+        # roots 1 and 1 + p meet mod p, so h mod p is not squarefree
+        h = UniPoly(FALLBACK_COEFFS)
+        assert not unipoly._coprime_mod_p(h, h.derivative())
+        calls = _count_divisions(monkeypatch)
+        assert curve.validate_seed(FALLBACK_COEFFS).h == h
+        assert calls
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_primes_give_the_same_gcds(self, p, monkeypatch):
+        rng = random.Random(p)
+        pairs = []
+        for coeffs in (X8_COEFFS, FIXED_FRACTION_COEFFS, COLLINEAR_BAD, CONIC_BAD, FALLBACK_COEFFS):
+            h = UniPoly(coeffs)
+            pairs += [(h, h.derivative()), (h, h.reflect())]
+        for _ in range(40):
+            common = split_poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
+            pairs.append((
+                common * UniPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] + [rng.choice([1, 2, 3, 6])]),
+                common * UniPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)] + [1]),
+            ))
+        monkeypatch.setattr(unipoly, "CERT_PRIME", p)
+        for f, g in pairs:
+            assert f.gcd(g) == fraction_euclid_gcd(f, g)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [X8_COEFFS, FIXED_FRACTION_COEFFS, COLLINEAR_BAD, CONIC_BAD],
+        ids=["x8", "fraction", "collinear_bad", "conic_bad"],
+    )
+    def test_small_primes_give_the_same_bytes(self, coeffs, p, monkeypatch, capsys):
+        argv = ["verify", "--poly", ",".join(map(str, coeffs))]
+        base_code = main(argv)
+        base = capsys.readouterr().out
+        monkeypatch.setattr(unipoly, "CERT_PRIME", p)
+        assert main(argv) == base_code
+        assert capsys.readouterr().out == base
 
 
 class TestResultant:
