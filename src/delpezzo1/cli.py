@@ -10,6 +10,7 @@ a witness), 2 invalid input, 3 an I/O or internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .curve import SeedError, SeedPoly, build_bundle, build_v, validate_seed, verify_bundle
@@ -161,7 +162,9 @@ def build_report(args) -> tuple[dict, bool]:
     return payload, all(check.passed for check in checks)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="delpezzo1",
         description=(

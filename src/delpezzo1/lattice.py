@@ -3,7 +3,7 @@
 Covers the rank-(10-d) odd hyperbolic lattice with its distinguished
 vector omega = -3 e_0 + e_1 + ... + e_{9-d}, the orthogonal complement
 (the E8 or E7 root lattice with reversed sign), short-vector enumeration
-with exact rational bounds, and four checks returned as
+with integer isqrt bounds, and four checks returned as
 :class:`~delpezzo1.serialize.Check` values: the mod-2 identification of
 the complement with F2^8, the blow-up model of the rank-9 Picard lattice,
 the mod-2 quadratic-form census, and the independence lemma for tuples
@@ -125,28 +125,15 @@ def _ldl(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return q
 
 
-def _floor_shift_sqrt(radicand: Fraction, shift: Fraction) -> int:
-    """floor(sqrt(radicand) + shift) with exact integer arithmetic."""
-    approx = math.isqrt(radicand.numerator // radicand.denominator)
-    est = approx + math.floor(shift)
-
-    def fits(y: int) -> bool:
-        diff = y - shift
-        return diff <= 0 or diff * diff <= radicand
-
-    while fits(est + 1):
-        est += 1
-    while not fits(est):
-        est -= 1
-    return est
-
-
 def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
     """All vectors of the given self-pairing in a negative definite lattice.
 
-    Depth-first search with exact rational interval bounds from the
-    Lagrange decomposition; no floating point enters any comparison.
-    The zero vector is never reported.
+    Fincke-Pohst depth-first search on Python ints.  Scaling the Lagrange
+    decomposition of the negated Gram matrix by one common M turns every
+    level into s = x_i * den_i + c_i and a weight w_i with
+    Q(x) * M = sum_i w_i s_i^2, all integers, so the bound on s_i is an
+    isqrt; no floating point enters any comparison.  The zero vector is
+    never reported.
     """
     n = lat.rank
     neg = [[Fraction(-lat.gram[i][j]) for j in range(n)] for i in range(n)]
@@ -154,30 +141,39 @@ def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
         if neg[i][i] <= 0:
             raise ValueError("lattice is not negative definite")
     q = _ldl(neg)
-    target = Fraction(-norm)
+    target = -norm
     if target < 0:
         return []
+    # row i: x_i + sum_{j>i} q_ij x_j = (x_i * cden[i] + sum_j coef[i][j] x_j) / cden[i]
+    cden = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    coef = [[int(q[i][j] * cden[i]) for j in range(i + 1, n)] for i in range(n)]
+    scale = math.lcm(*(q[i][i].denominator * cden[i] ** 2 for i in range(n)))
+    weight = [int(q[i][i] * scale) // cden[i] ** 2 for i in range(n)]
     found: list[Vector] = []
-    x = [0] * n
-
-    def descend(i: int, remaining: Fraction) -> None:
-        center = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        radicand = remaining / q[i][i]
-        hi = _floor_shift_sqrt(radicand, -center)
-        lo = -_floor_shift_sqrt(radicand, center)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            step = q[i][i] * (xi + center) ** 2
-            rest = remaining - step
-            if i == 0:
-                if rest == 0 and any(x):
-                    found.append(tuple(x))
-            elif rest >= 0:
-                descend(i - 1, rest)
-        x[i] = 0
-
-    descend(n - 1, target)
+    _descend(list(zip(cden, weight, coef)), n - 1, target * scale, [0] * n, found)
     return sorted(found)
+
+
+def _descend(levels: list, i: int, rem: int, x: list[int], found: list[Vector]) -> None:
+    """Try every x_i that keeps the scaled norm of x[i:] within rem, then recurse.
+
+    A module-level function rather than a closure: a self-referencing
+    closure is a reference cycle that keeps every found vector alive until
+    the cyclic garbage collector runs.
+    """
+    den, w, coef = levels[i]
+    cnum = sum(c * xj for c, xj in zip(coef, x[i + 1 :]))
+    bound = math.isqrt(rem // w)
+    for xi in range(-((bound + cnum) // den), (bound - cnum) // den + 1):
+        x[i] = xi
+        s = xi * den + cnum
+        rest = rem - w * s * s
+        if i == 0:
+            if rest == 0 and any(x):
+                found.append(tuple(x))
+        else:
+            _descend(levels, i - 1, rest, x, found)
+    x[i] = 0
 
 
 # -- F2 machinery -----------------------------------------------------------
@@ -411,28 +407,37 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     Raises ArithmeticError if `lat` has a vector of odd norm.
     """
     n = lat.rank
+    g = lat.gram
 
-    def lift(mask: int) -> Vector:
-        return tuple(mask >> i & 1 for i in range(n))
-
-    qvals = []
-    for mask in range(1 << n):
-        norm = lat.norm(lift(mask))
+    # norm(m) = norm(m - e_i) + g_ii + 2 sum_{j in m - e_i} g_ij, i the lowest bit of m
+    norms = [0] * (1 << n)
+    qvals = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        row = g[i]
+        norm = norms[rest] + row[i] + 2 * sum(row[j] for j in range(i + 1, n) if rest >> j & 1)
         if norm % 2:
             raise ArithmeticError(f"odd norm {norm}: q is defined on even lattices only")
-        qvals.append((norm // 2) & 1)
-    q1 = sum(qvals[m] for m in range(1, 1 << n))
+        norms[mask] = norm
+        qvals[mask] = (norm // 2) & 1
+    q1 = sum(qvals)
     q0 = (1 << n) - 1 - q1
 
     root_masks = sorted({sum((r[i] & 1) << i for i in range(n)) for r in roots})
     roots_q1 = all(qvals[m] == 1 for m in root_masks)
 
     # mod 2 the reflection x -> x + (x, r) r in a root of class m adds m
-    # to x when (x, m) is odd; odd[m] has bit j set when (e_j, m) is odd
-    odd = {
-        m: sum((lat.pair(lift(1 << j), lift(m)) & 1) << j for j in range(n))
-        for m in root_masks
-    }
+    # to x when (x, m) is odd; odd[m] has bit j set when (e_j, m) is odd,
+    # the XOR of the mod-2 Gram rows over the bits of m
+    rows2 = [sum((g[i][j] & 1) << j for j in range(n)) for i in range(n)]
+    odd = {}
+    for m in root_masks:
+        acc = 0
+        for i in range(n):
+            if m >> i & 1:
+                acc ^= rows2[i]
+        odd[m] = acc
     preserve = all(
         qvals[x ^ m] == qvals[x]
         for m in root_masks

@@ -194,3 +194,25 @@ def test_verify_builds_each_form_once(monkeypatch, capsys):
     assert main(["verify", "--poly", X8_POLY]) == 0
     capsys.readouterr()
     assert (len(v_calls), len(w_calls), len(rank_calls)) == (1, 1, 2)
+
+
+def test_parser_reused_after_a_bad_command_line(capsys):
+    # the parser is built once and shared by every main call; a rejected
+    # command line must leave it fit for the next one
+    assert main(["lattice", "--d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    case = next(c for c in DIGESTS if c["argv"] == ["lattice", "--d", "2", "--format", "json"])
+    assert main(case["argv"]) == case["exit"] == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    assert main(["lattice", "--d", "3"]) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_help_twice(capsys):
+    assert main(["--help"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == first
+    assert "usage: delpezzo1" in first

@@ -1,6 +1,10 @@
+import math
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo1.lattice import (
     F2Space,
@@ -111,6 +115,46 @@ class TestShortVectors:
             counts[val] = counts.get(val, 0) + 1
         assert counts == {-2: 1, -1: 56, 0: 126, 1: 56, 2: 1}
 
+    @pytest.mark.parametrize(
+        "d, counts", ((1, (240, 2160, 6720)), (2, (126, 756, 2072)))
+    )
+    def test_theta_series_coefficients(self, d, counts):
+        # the first three theta-series coefficients of E8 and E7
+        marked = build_hyperbolic(d)
+        lat = orth_complement(marked.lattice, marked.omega).lattice
+        for norm, expected in zip((-2, -4, -6), counts):
+            vectors = enumerate_short_vectors(lat, norm)
+            assert len(vectors) == expected
+            assert all(type(c) is int for v in vectors for c in v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.integers(0, 6),
+    )
+    def test_matches_brute_force(self, b, big_n):
+        # G = -(B^T B + I) has every eigenvalue at most -1, so a vector of
+        # norm -N lies in the box |x_i| <= isqrt(N)
+        n = len(b)
+        gram = tuple(
+            tuple(-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n))
+            for i in range(n)
+        )
+        lat = IntLattice(n, gram)
+        box = range(-math.isqrt(big_n), math.isqrt(big_n) + 1)
+        expected = sorted(
+            x for x in product(box, repeat=n) if any(x) and lat.norm(x) == -big_n
+        )
+        found = enumerate_short_vectors(lat, -big_n)
+        assert found == expected
+        assert all(type(c) is int for v in found for c in v)
+
 
 class TestF8S:
     def test_full_report(self):
@@ -200,6 +244,33 @@ class TestCensus:
                 image = tuple(a + lat.pair(e, r) * b for a, b in zip(e, r))
                 per_class = (1 << i) ^ m if lat.pair(e, lift(m)) & 1 else 1 << i
                 assert reduce(image) == per_class
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n).map(
+                lambda cells: (n, cells)
+            )
+        )
+    )
+    def test_counts_match_direct_norms(self, shape):
+        # symmetric Gram matrix with an even diagonal, not necessarily definite
+        n, cells = shape
+        gram = tuple(
+            tuple(
+                2 * cells[i * n + i] if i == j else cells[min(i, j) * n + max(i, j)]
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        lat = IntLattice(n, gram)
+        q = [
+            (lat.norm(tuple(m >> i & 1 for i in range(n))) // 2) & 1
+            for m in range(1, 1 << n)
+        ]
+        rep = mod2_quadratic_census(lat, []).witness
+        assert rep["nonzero_q1"] == sum(q)
+        assert rep["nonzero_q0"] == len(q) - sum(q)
 
     def test_only_defined_for_even_lattices(self):
         odd = IntLattice(1, ((-1,),))
