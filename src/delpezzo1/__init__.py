@@ -28,7 +28,6 @@ from .curve import (
 from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset
 from .galois import GaloisCertificate, certify_galois
 from .lattice import (
-    F2Space,
     IntLattice,
     build_hyperbolic,
     enumerate_short_vectors,
@@ -37,7 +36,6 @@ from .lattice import (
     mod2_quadratic_census,
     orth_complement,
     picard_model_check,
-    standard_space,
 )
 from .linalg import frac_is_square, int_is_square
 from .position import (

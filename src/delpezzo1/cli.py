@@ -23,7 +23,6 @@ from .lattice import (
     mod2_quadratic_census,
     orth_complement,
     picard_model_check,
-    standard_space,
 )
 from .position import position_checks
 from .serialize import Check, parse_frac, to_canonical_json, to_text
@@ -112,7 +111,7 @@ def _lattice(seed: None, args) -> tuple[list[Check], dict]:
         f8s = f8s_iso_check()
         pic = picard_model_check()
         census = mod2_quadratic_census(comp.lattice, roots)
-        lemma = linalg_lemma_check(standard_space(4), 2, exhaustive=True)
+        lemma = linalg_lemma_check()
         checks += [
             Check("mod2_identification", f8s.passed, {}),
             Check("picard_gram", pic.passed, {"picard_diag": pic.witness["diag_pairings"]}),

@@ -7,16 +7,17 @@ with integer isqrt bounds, and four checks returned as
 :class:`~delpezzo1.serialize.Check` values: the mod-2 identification of
 the complement with F2^8, the blow-up model of the rank-9 Picard lattice,
 the mod-2 quadratic-form census, and the independence lemma for tuples
-pairing to 1.
+pairing to 1.  The last two settle their mod-2 facts by proof rather than
+search: root reflections preserve q by the polarization identity, and the
+lemma holds for a tuple size m because (J - I)^2 = I over F2 for even m,
+so one determinant of J - I covers every tuple of that size.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .linalg import bareiss_det, f2_det, f2_rank, int_functional_kernel
 from .serialize import Check
@@ -176,114 +177,29 @@ def _descend(levels: list, i: int, rem: int, x: list[int], found: list[Vector]) 
     x[i] = 0
 
 
-# -- F2 machinery -----------------------------------------------------------
+# -- the independence lemma -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F2Space:
-    """F2 vector space with a symmetric bilinear form, vectors as bitmasks."""
+def linalg_lemma_check() -> Check:
+    """Prove the independence lemma by one F2 determinant per tuple size.
 
-    dim: int
-    rows: tuple[int, ...]  # row i of the form matrix, as a bitmask
-
-    def pair(self, x: int, y: int) -> int:
-        acc = 0
-        i = 0
-        while x:
-            if x & 1:
-                acc ^= (self.rows[i] & y).bit_count() & 1
-            x >>= 1
-            i += 1
-        return acc
-
-
-def standard_space(dim: int) -> F2Space:
-    return F2Space(dim, tuple(1 << i for i in range(dim)))
-
-
-def check_pairing_tuple(space: F2Space, vectors: list[int]) -> tuple[bool, bool]:
-    """(linearly independent, zero-pairing combinations are trivial).
-
-    The second value checks directly that any combination z = sum a_i z_i
-    with pair(z, z_j) = 0 for every j has all a_i = 0.
+    The lemma: for even m, vectors z_1, ..., z_m over F2 with
+    (z_i, z_i) = 0 and (z_i, z_j) = 1 for i != j are linearly independent,
+    and no nonzero combination of them pairs to 0 with every z_j.  Pairing
+    a combination sum a_i z_i with each z_j gives (J - I) a, J the all-ones
+    m x m matrix, so a relation sum a_i z_i = 0 forces (J - I) a = 0, and
+    both properties say that (J - I) a = 0 only for a = 0.  Over F2,
+    (J - I)^2 = mJ - 2J + I, which is I for even m, so det(J - I) = 1
+    settles both for every tuple of that size in every dimension.  The
+    identity holds for every even m; the check evaluates m = 2, 4, 6 and 8,
+    the even sizes of independent tuples that fit in F2^8.
     """
-    m = len(vectors)
-    independent = f2_rank(vectors) == m
-    vanish_ok = True
-    for mask in range(1, 1 << m):
-        z = 0
-        for i in range(m):
-            if mask >> i & 1:
-                z ^= vectors[i]
-        if all(space.pair(z, zj) == 0 for zj in vectors):
-            vanish_ok = False
-            break
-    return independent, vanish_ok
-
-
-def _diagonal_free(space: F2Space) -> list[int]:
-    return [v for v in range(1, 1 << space.dim) if space.pair(v, v) == 0]
-
-
-def linalg_lemma_check(
-    space: F2Space,
-    m: int,
-    trials: int = 0,
-    rng: random.Random | None = None,
-    exhaustive: bool = False,
-) -> Check:
-    """Verify independence of m-tuples pairing to 1 off the diagonal.
-
-    Tuples of vectors with pair(z, z) = 0 and pairwise pairing 1 are
-    generated either exhaustively (meant for m = 2 in small dimension) or
-    by seeded rejection sampling; each is checked for linear independence
-    and for the direct vanishing property.  m must be even; any failure
-    would contradict the lemma and is reported, never repaired.  The
-    witness counts instances, independence failures and vanish failures.
-    """
-    if m % 2:
-        raise ValueError("m must be even")
-    candidates = _diagonal_free(space)
-    instances = 0
-    bad_indep = 0
-    bad_vanish = 0
-    if exhaustive:
-        if m != 2:
-            raise ValueError("exhaustive mode supports m = 2 only")
-        for z1, z2 in combinations(candidates, 2):
-            if space.pair(z1, z2) != 1:
-                continue
-            instances += 1
-            indep, vanish = check_pairing_tuple(space, [z1, z2])
-            bad_indep += not indep
-            bad_vanish += not vanish
-    else:
-        if rng is None:
-            rng = random.Random(0)
-        attempts = 0
-        while instances < trials and attempts < trials * 400:
-            attempts += 1
-            tup: list[int] = []
-            for _ in range(m * 40):
-                v = rng.choice(candidates)
-                if all(space.pair(v, z) == 1 for z in tup):
-                    tup.append(v)
-                    if len(tup) == m:
-                        break
-            if len(tup) < m:
-                continue
-            instances += 1
-            indep, vanish = check_pairing_tuple(space, tup)
-            bad_indep += not indep
-            bad_vanish += not vanish
+    sizes = (2, 4, 6, 8)
+    dets = tuple(f2_det([((1 << m) - 1) ^ (1 << i) for i in range(m)], m) for m in sizes)
     return Check(
         "independence_lemma",
-        instances > 0 and bad_indep == 0 and bad_vanish == 0,
-        {
-            "instances": instances,
-            "independence_failures": bad_indep,
-            "vanish_failures": bad_vanish,
-        },
+        all(det == 1 for det in dets),
+        {"tuple_sizes": sizes, "determinants": dets},
     )
 
 
@@ -402,9 +318,12 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     `lat` is the rank-8 complement and `roots` its norm -2 vectors.
     Enumerates all 255 nonzero mod-2 classes, counts the values of q,
     identifies the classes hit by the 240 roots, and checks that every
-    root reflection descends to a q-preserving map; a reflection mod 2
-    depends only on the class of its root, so each class is checked once.
-    Raises ArithmeticError if `lat` has a vector of odd norm.
+    root reflection descends to a q-preserving map.  On an even lattice
+    norm(x + m) = norm(x) + norm(m) + 2 (x, m), so q is well defined on
+    classes and q(x + m) = q(x) + q(m) + (x, m) mod 2.  Mod 2 the
+    reflection in a root of class m adds m to every x with (x, m) odd,
+    so it preserves q exactly when q(m) = 1 or no class pairs oddly
+    with m.  Raises ArithmeticError if `lat` has a vector of odd norm.
     """
     n = lat.rank
     g = lat.gram
@@ -427,9 +346,8 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     root_masks = sorted({sum((r[i] & 1) << i for i in range(n)) for r in roots})
     roots_q1 = all(qvals[m] == 1 for m in root_masks)
 
-    # mod 2 the reflection x -> x + (x, r) r in a root of class m adds m
-    # to x when (x, m) is odd; odd[m] has bit j set when (e_j, m) is odd,
-    # the XOR of the mod-2 Gram rows over the bits of m
+    # odd[m] has bit j set when (e_j, m) is odd, the XOR of the mod-2 Gram
+    # rows over the bits of m; it is 0 when every class pairs evenly with m
     rows2 = [sum((g[i][j] & 1) << j for j in range(n)) for i in range(n)]
     odd = {}
     for m in root_masks:
@@ -438,12 +356,7 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
             if m >> i & 1:
                 acc ^= rows2[i]
         odd[m] = acc
-    preserve = all(
-        qvals[x ^ m] == qvals[x]
-        for m in root_masks
-        for x in range(1 << n)
-        if (x & odd[m]).bit_count() & 1
-    )
+    preserve = all(qvals[m] == 1 or not odd[m] for m in root_masks)
 
     return Check(
         "mod2_census",

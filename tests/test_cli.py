@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import COLLINEAR_BAD, X8_COEFFS
+import delpezzo1
 from delpezzo1 import curve, linalg
 from delpezzo1.cli import main
 
@@ -156,6 +158,23 @@ def test_verify_runs_are_byte_identical():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.encode() == b.stdout.encode()
+
+
+def test_no_module_imports_random():
+    # the trusted path is deterministic: no module draws random numbers
+    paths = sorted(Path(delpezzo1.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [path.name for name in names if name.split(".")[0] == "random"]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("case", DIGESTS, ids=lambda case: " ".join(case["argv"]))
