@@ -19,9 +19,9 @@ could have.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Sequence
 
 from .finitefield import PrimeSkip, fp_rem, poly_mod_p
@@ -166,28 +166,44 @@ def _monomials(degree: int) -> list[Exponent]:
     return sorted(mons, key=grlex_key, reverse=True)
 
 
-def _apply_ops(form: TriPoly, ops: str) -> TriPoly:
-    for s in ops:
-        form = form.derivative(s)
-    return form
+def _xy_ops(order: int) -> list[str]:
+    """The x/y derivative words of order <= order: "", x, y, xx, xy, yy, xxx, ...
+
+    Euler's relation x F_x + y F_y + z F_z = deg(F) F, at z = 1, writes
+    one more z-derivative of a partial F through F, F_x and F_y.  So at
+    the seed points, where z = 1, these words vanish iff every partial of
+    order <= order does.  A word's parent, word[:-1], comes before it.
+    """
+    return ["x" * (k - j) + "y" * j for k in range(order + 1) for j in range(k + 1)]
+
+
+def _xy_partials(form: TriPoly, order: int) -> list[TriPoly]:
+    """The partials of form along _xy_ops(order), each derived once from its parent."""
+    partials = {"": form}
+    for op in _xy_ops(order)[1:]:
+        partials[op] = partials[op[:-1]].derivative(op[-1])
+    return list(partials.values())
 
 
 def _constraint_rows(powers: Sequence[Sequence], degree: int, ops: Sequence[str]) -> list[list]:
     """One block of rows per op, from powers[n] = the coefficients of t^n mod h.
 
-    Column e of block op is c * (t^n mod h) when the op-derivative of the
-    monomial e is c x^i y^j z^k with n = 3i + j, i.e. op(monomial e) at
-    (t^3, t, 1) mod h.  The table may hold rationals or residues mod p.
+    Column e of block op is op(monomial e) at (t^3, t, 1) mod h, in closed
+    form: an op with a x's, b y's and c z's takes x^i y^j z^k to
+    perm(i, a) perm(j, b) perm(k, c) t^n with n = 3(i - a) + (j - b).
+    The table may hold rationals or residues mod p.
     """
     mons = _monomials(degree)
     height = max(map(len, powers))  # deg h: t^(deg h - 1) is its own remainder
     rows = []
     for op in ops:
+        a, b, c = (op.count(s) for s in _VARS)
         block = [[0] * len(mons) for _ in range(height)]
-        for col, e in enumerate(mons):
-            for (i, j, _), c in _apply_ops(TriPoly.monomial(e), op).terms.items():
-                for d, r in enumerate(powers[3 * i + j]):
-                    block[d][col] = int(c) * r
+        for col, (i, j, k) in enumerate(mons):
+            coeff = perm(i, a) * perm(j, b) * perm(k, c)
+            if coeff:
+                for d, r in enumerate(powers[3 * (i - a) + (j - b)]):
+                    block[d][col] = coeff * r
         rows.extend(block)
     return rows
 
@@ -204,37 +220,24 @@ def cubic_space(seed: SeedPoly) -> list[TriPoly]:
     return _space_through_points(seed, 3, [""])
 
 
-_SEXTIC_OPS = ("", "x", "y")
-
-
 def _vanishes_doubly(form: TriPoly, h: UniPoly) -> bool:
     """Form, x- and y-partial vanish at the points; by Euler so does the z-partial."""
-    return all(tri_eval_param(_apply_ops(form, op), h).is_zero for op in _SEXTIC_OPS)
+    return all(tri_eval_param(f, h).is_zero for f in _xy_partials(form, 1))
 
 
-def sextic_space(seed: SeedPoly, forms: list[TriPoly]) -> list[TriPoly]:
-    """Basis of sextics vanishing with first x- and y-derivatives at the points.
+def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
+    """Check that u^2, uv, v^2, w are a basis of the doubly-vanishing sextics.
 
-    The z-derivative condition is implied by the Euler relation, so only
-    two derivative blocks are imposed beyond plain vanishing: 24 linear
-    conditions on the 28 sextic monomials.  The candidate forms (u^2, uv,
-    v^2, w from verify_bundle) are returned themselves whenever they are
-    a basis, and the exact kernel over Q otherwise.
-
-    The common path certifies the candidates instead of computing a
-    kernel.  The condition matrix has rational entries whose denominators
-    divide powers of those of h, so when the prime CERT_PRIME divides none
-    of them the matrix reduces mod p and its rank over Q is at least its
-    rank over F_p (a nonzero minor mod p is nonzero).  The F_p matrix is
-    built by the same _constraint_rows, run on t^n mod h-bar (h reduced
-    mod p) instead of t^n mod h.  F_p rank 24 therefore bounds the
-    Q-dimension by 28 - 24 = 4; four forms lying in the system exactly
-    (reduction modulo h over Q) and independent over Q then make it
-    exactly 4, with them as a basis.  The certificate is
-    one-sided: if p divides a denominator of h, the F_p rank is below 24,
-    a form fails a condition or the forms are dependent, the exact kernel
-    is computed, and the forms are a basis iff they are four independent
-    forms in its span.
+    The system imposes the value, x- and y-partial at the points (Euler
+    gives the z-partial): 24 conditions on 28 monomials.  The witness is
+    its dimension.  When CERT_PRIME divides no denominator of h, the same
+    _constraint_rows run on t^n mod (h mod p) give the matrix mod p, and
+    F_p rank 24 bounds the dimension by 4.  The basis then follows by
+    proof: u and v vanish at the points, so u^2, uv, v^2 vanish doubly
+    (product rule); w is checked to; u and v are independent, so u^2, uv,
+    v^2 are; and u, v vanish at (0:0:1) while w does not.  If any premise
+    fails the exact kernel over Q is computed, and the forms are a basis
+    iff they are four independent forms in its span.
     """
     h, p = seed.h, CERT_PRIME
     try:
@@ -243,17 +246,21 @@ def sextic_space(seed: SeedPoly, forms: list[TriPoly]) -> list[TriPoly]:
         rows = []
     else:
         powers = [fp_rem([0] * n + [1], hp, p) for n in range(3 * 6 + 1)]
-        rows = _constraint_rows(powers, 6, _SEXTIC_OPS)
+        rows = _constraint_rows(powers, 6, _xy_ops(1))
     if (
         fp_rank(rows, p) == 24
-        and all(_vanishes_doubly(f, h) for f in forms)
-        and forms_rank(forms, 6) == 4
+        and tri_eval_param(u, h).is_zero
+        and tri_eval_param(v, h).is_zero
+        and _vanishes_doubly(w, h)
+        and forms_rank([u, v], 3) == 2
+        and u.eval(0, 0, 1) == v.eval(0, 0, 1) == 0
+        and w.eval(0, 0, 1) != 0
     ):
-        return forms
-    kernel = _space_through_points(seed, 6, _SEXTIC_OPS)
-    if len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4:
-        return forms
-    return kernel
+        return Check("sextic_space_dimension", True, {"dimension": 4})
+    kernel = _space_through_points(seed, 6, _xy_ops(1))
+    forms = [u * u, u * v, v * v, w]
+    basis = len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4
+    return Check("sextic_space_dimension", basis, {"dimension": len(kernel)})
 
 
 def forms_rank(forms: list[TriPoly], degree: int) -> int:
@@ -268,26 +275,21 @@ def forms_rank(forms: list[TriPoly], degree: int) -> int:
 def multiplicity_report(bundle: CurveBundle) -> list[Check]:
     """Check that every seed point is a triple point of the model.
 
-    All partials of order <= 2 must reduce to zero modulo h after the
-    (t^3, t, 1) substitution; the point multiplicity is then exactly 3
-    iff h shares no root with the full set of order-3 partials, i.e. the
-    gcd of h with their representatives is 1.  Returns the checks
-    vanishing_to_order_2 and multiplicity_exactly_3, in that order.
+    The x/y partials of order <= 2 (_xy_ops) must reduce to zero modulo h
+    after the (t^3, t, 1) substitution; the first that does not is named,
+    as a z-partial fails only after an earlier x/y one.  The multiplicity
+    is then exactly 3 iff the gcd of h with the x/y partials of order <= 3
+    is 1.  For degree >= 3 that is the gcd with all order-3 partials, as
+    by Euler a form of positive degree vanishes where its first partials
+    do.  Returns vanishing_to_order_2 and multiplicity_exactly_3.
     """
     h = bundle.seed.h
-    q = bundle.q_form
-    ops = (
-        "".join(combo)
-        for order in range(3)
-        for combo in itertools.combinations_with_replacement(_VARS, order)
-    )
-    nonzero = (op or "value" for op in ops if not tri_eval_param(_apply_ops(q, op), h).is_zero)
-    failed = next(nonzero, None)
+    partials = _xy_partials(bundle.q_form, 3)
+    low = [tri_eval_param(f, h) for f in partials[:6]]
+    failed = next((op or "value" for op, r in zip(_xy_ops(2), low) if not r.is_zero), None)
     ok2 = failed is None
-    g = common_factor(h, (
-        tri_eval_param(_apply_ops(q, "".join(combo)), h)
-        for combo in itertools.combinations_with_replacement(_VARS, 3)
-    ))
+    # gcd(h, A and B) = gcd(gcd(h, A), B); B is reduced only while it can matter
+    g = common_factor(common_factor(h, low), (tri_eval_param(f, h) for f in partials[6:]))
     return [
         Check("vanishing_to_order_2", ok2, {"failed_derivative": failed}),
         Check("multiplicity_exactly_3", ok2 and g.degree == 0, {"order3_gcd": g}),
@@ -373,21 +375,19 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
     checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
     checks.append(Check("cubic_space_ninth_point", ninth_cubic, {}))
 
-    forms = [u * u, u * v, v * v, w]
-    sextics = sextic_space(seed, forms)
-    # sextic_space hands the forms back exactly when they are a basis,
-    # after checking that each one vanishes doubly at the points
-    basis = sextics == forms
-    checks.append(Check("sextic_space_dimension", basis, {"dimension": len(sextics)}))
+    sextic = sextic_space(seed, u, v, w)
+    checks.append(sextic)
     w_ninth = w.eval(0, 0, 1)
     checks.append(Check(
         "w_ninth_point_value",
         w_ninth == seed.h0 ** 2 and w_ninth != 0,
         {"value": w_ninth, "expected": seed.h0 ** 2},
     ))
-    sq_vanish = all(f.eval(0, 0, 1) == 0 for f in forms[:3])
+    # u^2, uv and v^2 vanish at (0:0:1) iff u and v do
+    sq_vanish = u.eval(0, 0, 1) == v.eval(0, 0, 1) == 0
     checks.append(Check("pencil_squares_vanish_at_ninth_point", sq_vanish, {}))
-    w_vanish = basis or _vanishes_doubly(w, h)
+    # a basis of the system vanishes doubly at the points, w with it
+    w_vanish = sextic.passed or _vanishes_doubly(w, h)
     checks.append(Check("w_vanishes_doubly_on_points", w_vanish, {}))
 
     qdeg = bundle.q_form.total_degree

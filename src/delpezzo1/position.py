@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .curve import SeedPoly, U_FORM
+from .curve import SeedPoly, U_FORM, _xy_partials
 from .quotient import common_factor, tri_eval_param
 from .serialize import Check
 from .tripoly import TriPoly
@@ -135,19 +135,16 @@ def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
     Every cubic through the points lies in the pencil spanned by
     u = xz^2 - y^3 and the companion cubic v (curve.build_v of the seed),
     so a bad cubic exists iff the gradients of u and v are linearly
-    dependent at some point, i.e. iff the three 2x2 minors of the
-    gradient matrix share a root with h.  The u-row at (t^3, t, 1) is
-    always (1, -3t^2, 2t^3).  Passing u itself as v is the rank-1
-    negative control.
+    dependent at some point P.  Both vanish at P, so by Euler's relation
+    both gradients are orthogonal to P, whose z is 1; such a vector is
+    fixed by its x and y entries, so the gradients are dependent iff the
+    one x/y minor u_x v_y - u_y v_x shares a root with h.  Passing u
+    itself as v is the rank-1 negative control.
     """
     h = seed.h
-    row_u = [tri_eval_param(U_FORM.derivative(s), h) for s in ("x", "y", "z")]
-    row_v = [tri_eval_param(v.derivative(s), h) for s in ("x", "y", "z")]
-    minors = (
-        (row_u[a] * row_v[b] - row_u[b] * row_v[a]) % h
-        for a, b in ((0, 1), (0, 2), (1, 2))
-    )
-    g = common_factor(h, minors)
+    ux, uy = (tri_eval_param(f, h) for f in _xy_partials(U_FORM, 1)[1:])
+    vx, vy = (tri_eval_param(f, h) for f in _xy_partials(v, 1)[1:])
+    g = common_factor(h, [(ux * vy - uy * vx) % h])
     return Check(
         "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}
     )

@@ -206,7 +206,7 @@ def _count_calls(monkeypatch, home, name: str) -> list:
 def test_verify_builds_each_form_once(monkeypatch, capsys):
     # verify reuses the bundle's v and w in the sextic certificate, the
     # singular-cubic check and w's double vanishing; the two ranks are the
-    # cubic span and the independence of u^2, uv, v^2, w
+    # cubic span and the independence of u and v
     v_calls = _count_calls(monkeypatch, curve, "build_v")
     w_calls = _count_calls(monkeypatch, curve, "build_w")
     rank_calls = _count_calls(monkeypatch, linalg, "q_rank")

@@ -34,6 +34,8 @@ from delpezzo1 import (
 from delpezzo1.curve import _nth_root_form, forms_rank
 from delpezzo1.finitefield import fp_rem, poly_mod_p
 from delpezzo1.quotient import qr_reduce, tri_eval_param
+from delpezzo1.serialize import Check
+from xyz_oracles import apply_ops, multiplicity_report_xyz, oracle_seeds, sextic_space_exact
 
 
 class TestValidateSeed:
@@ -215,8 +217,7 @@ class TestLinearSystems:
     def test_sextic_space_worked_seed(self, seed_x8):
         bundle = build_bundle(seed_x8)
         forms = _pencil_basis(seed_x8)
-        basis = sextic_space(seed_x8, forms)
-        assert basis == forms
+        assert sextic_space(seed_x8, bundle.u, bundle.v, bundle.w) == CERTIFIED
         oracle = curve._space_through_points(seed_x8, 6, SEXTIC_OPS)
         assert len(oracle) == 4
         for f in forms:
@@ -234,6 +235,7 @@ class TestLinearSystems:
 
 
 SEXTIC_OPS = ["", "x", "y"]
+CERTIFIED = Check("sextic_space_dimension", True, {"dimension": 4})
 
 # h = t^8 + 2t^6 + 5t^5 - t^3 + 3t^2 + 8t + 4: its sextic condition matrix
 # has rank 20 mod 2 and mod 3, and 24 over Q
@@ -258,6 +260,11 @@ def _pencil_basis(seed):
     return [bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w]
 
 
+def _uvw(seed):
+    bundle = build_bundle(seed)
+    return bundle.u, bundle.v, bundle.w
+
+
 class TestSexticCertificate:
     def test_spans_the_exact_kernel(self):
         rng = random.Random(67)
@@ -266,10 +273,9 @@ class TestSexticCertificate:
         seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
         for seed in seeds:
             forms = _pencil_basis(seed)
-            basis = sextic_space(seed, forms)
+            assert sextic_space(seed, *_uvw(seed)) == CERTIFIED
             oracle = curve._space_through_points(seed, 6, SEXTIC_OPS)
-            assert basis == forms
-            assert forms_rank(basis, 6) == forms_rank(oracle, 6) == forms_rank(basis + oracle, 6)
+            assert forms_rank(forms, 6) == forms_rank(oracle, 6) == forms_rank(forms + oracle, 6) == 4
 
     def test_fp_rows_reduce_the_exact_rows(self):
         # one builder, fed t^n mod h over Q or t^n mod (h mod p) over F_p
@@ -286,33 +292,57 @@ class TestSexticCertificate:
 
     @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
     def test_certified_path_computes_no_kernel(self, coeffs, monkeypatch):
-        calls = _count_kernel_calls(monkeypatch)
         seed = validate_seed(coeffs)
-        forms = _pencil_basis(seed)
-        assert sextic_space(seed, forms) == forms
+        uvw = _uvw(seed)
+        calls = _count_kernel_calls(monkeypatch)
+        assert sextic_space(seed, *uvw) == CERTIFIED
         assert calls == []
 
     def test_prime_in_a_denominator_falls_back(self, monkeypatch):
-        calls = _count_kernel_calls(monkeypatch)
         seed = validate_seed([-1, Fraction(1, curve.CERT_PRIME), 0, 0, 0, 0, 0, 0, 1])
-        forms = _pencil_basis(seed)
-        # the exact kernel confirms the forms, so they come back themselves
-        assert sextic_space(seed, forms) == forms
+        uvw = _uvw(seed)
+        calls = _count_kernel_calls(monkeypatch)
+        # the exact kernel confirms the forms
+        assert sextic_space(seed, *uvw) == CERTIFIED
         assert calls == [24]
 
+    # one control per premise of the certificate: each breaks it, and the
+    # exact kernel then decides
     @pytest.mark.parametrize(
-        "wrong_w",
-        [lambda w: w + TriPoly.monomial((0, 0, 6)), lambda w: U_FORM * U_FORM],
-        ids=["not_in_system", "dependent"],
+        "wrong",
+        [
+            lambda u, v, w: (u, u, w),
+            lambda u, v, w: (u, v, w + TriPoly.monomial((0, 0, 6))),
+            lambda u, v, w: (u, v, u * u),
+            lambda u, v, w: (u, v + TriPoly.monomial((0, 0, 3)), w),
+        ],
+        ids=["v_is_u", "w_not_in_system", "w_is_u_squared", "v_off_the_points"],
     )
-    def test_wrong_candidate_falls_back(self, wrong_w, monkeypatch):
+    def test_broken_premise_falls_back_to_the_kernel(self, wrong, monkeypatch):
         seed = validate_seed(X8_COEFFS)
-        *pencil, w = _pencil_basis(seed)
+        u, v, w = wrong(*_uvw(seed))
+        oracle = sextic_space_exact(seed, u, v, w)
+        assert not oracle.passed and oracle.witness == {"dimension": 4}
         calls = _count_kernel_calls(monkeypatch)
-        basis = sextic_space(seed, pencil + [wrong_w(w)])
+        check = sextic_space(seed, u, v, w)
         assert calls == [24]
-        assert len(basis) == 4
-        assert forms_rank(basis + pencil + [w], 6) == 4
+        assert (check.name, check.passed, check.witness) == (
+            oracle.name, oracle.passed, oracle.witness
+        )
+
+    @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
+    def test_closed_form_columns_match_tripoly_derivatives(self, coeffs):
+        h = validate_seed(coeffs).h
+        ops = ["", "x", "y", "z", "xx", "xy"]
+        for degree in (3, 6):
+            powers = [qr_reduce(UniPoly([0] * n + [1]), h).coeffs for n in range(3 * degree + 1)]
+            rows = curve._constraint_rows(powers, degree, ops)
+            assert len(rows) == len(ops) * h.degree
+            for b, op in enumerate(ops):
+                block = rows[b * h.degree:(b + 1) * h.degree]
+                for col, e in enumerate(curve._monomials(degree)):
+                    expected = tri_eval_param(apply_ops(TriPoly.monomial(e), op), h)
+                    assert UniPoly([row[col] for row in block]) == expected, (degree, op, e)
 
     # X8 keeps rank 24 mod 2 and mod 3, so only its cubic kernel is
     # computed; the fraction (denominators divisible by 2 and 3) and the
@@ -388,6 +418,17 @@ class TestMultiplicity:
         order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=bundle.u**2))
         assert not order2.passed and not order3.passed
         assert order2.witness == {"failed_derivative": "xx"}
+
+    def test_matches_the_xyz_oracle(self):
+        # the x/y partials give the same Checks as every x/y/z partial
+        bundles = [build_bundle(seed) for seed in oracle_seeds()]
+        x8 = build_bundle(validate_seed(X8_COEFFS))
+        for q in (x8.u**2, x8.u**3, x8.u**3 * x8.v):
+            bundles.append(dataclasses.replace(x8, q_form=q))
+        for bundle in bundles:
+            got = [(c.name, c.passed, c.witness) for c in multiplicity_report(bundle)]
+            want = [(c.name, c.passed, c.witness) for c in multiplicity_report_xyz(bundle)]
+            assert got == want
 
 
 class TestGenus:

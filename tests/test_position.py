@@ -28,6 +28,7 @@ from delpezzo1 import (
 )
 from delpezzo1.curve import SeedError
 from delpezzo1.quotient import tri_eval_param
+from xyz_oracles import check_singular_cubic_xyz, oracle_seeds
 from delpezzo1.unipoly import UniPoly, distinct_pair_sum_poly, root_sum_poly
 
 
@@ -210,6 +211,13 @@ class TestSingularCubic:
         check = check_singular_cubic(seed_x8, U_FORM)
         assert not check.passed
         assert check.witness["dependent_gradient_factor"] == seed_x8.h
+
+    def test_matches_the_three_minor_oracle(self):
+        # one x/y minor gives the same Check as all three x/y/z minors
+        for seed in oracle_seeds():
+            for v in (build_v(seed), U_FORM):
+                got, want = check_singular_cubic(seed, v), check_singular_cubic_xyz(seed, v)
+                assert (got.name, got.passed, got.witness) == (want.name, want.passed, want.witness)
 
 
 class TestNegativeControlsAreIsolated:

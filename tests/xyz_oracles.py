@@ -1,0 +1,81 @@
+"""Brute-force oracles for the checks that Euler's relation shortens.
+
+The library takes only x/y partials at the seed points and one x/y
+gradient minor.  These oracles take every partial in x, y and z and all
+three gradient minors, so a test can assert that both give the same
+Checks, and they impose the z-partial on the sextic system explicitly.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
+from delpezzo1 import U_FORM, curve, validate_seed
+from delpezzo1.curve import CurveBundle, SeedPoly, forms_rank
+from delpezzo1.quotient import common_factor, tri_eval_param
+from delpezzo1.serialize import Check
+from delpezzo1.tripoly import TriPoly
+
+VARS = ("x", "y", "z")
+
+
+def apply_ops(form: TriPoly, ops: str) -> TriPoly:
+    for s in ops:
+        form = form.derivative(s)
+    return form
+
+
+def oracle_seeds() -> list[SeedPoly]:
+    """Ten random small seeds, X8, the fraction seed and a 100-bit seed."""
+    rng = random.Random(71)
+    seeds = [random_valid_seed(rng) for _ in range(10)]
+    seeds += [validate_seed(X8_COEFFS), validate_seed(FIXED_FRACTION_COEFFS)]
+    seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
+    return seeds
+
+
+def multiplicity_report_xyz(bundle: CurveBundle) -> list[Check]:
+    """Every x/y/z partial of order <= 2 in turn, then the gcd over all order-3 ones."""
+    h = bundle.seed.h
+    q = bundle.q_form
+    ops = (
+        "".join(combo)
+        for order in range(3)
+        for combo in itertools.combinations_with_replacement(VARS, order)
+    )
+    nonzero = (op or "value" for op in ops if not tri_eval_param(apply_ops(q, op), h).is_zero)
+    failed = next(nonzero, None)
+    ok2 = failed is None
+    g = common_factor(h, (
+        tri_eval_param(apply_ops(q, "".join(combo)), h)
+        for combo in itertools.combinations_with_replacement(VARS, 3)
+    ))
+    return [
+        Check("vanishing_to_order_2", ok2, {"failed_derivative": failed}),
+        Check("multiplicity_exactly_3", ok2 and g.degree == 0, {"order3_gcd": g}),
+    ]
+
+
+def check_singular_cubic_xyz(seed: SeedPoly, v: TriPoly) -> Check:
+    """The gcd of h with all three 2x2 minors of the x/y/z gradient rows of u and v."""
+    h = seed.h
+    row_u = [tri_eval_param(U_FORM.derivative(s), h) for s in VARS]
+    row_v = [tri_eval_param(v.derivative(s), h) for s in VARS]
+    minors = (
+        (row_u[a] * row_v[b] - row_u[b] * row_v[a]) % h
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    )
+    g = common_factor(h, minors)
+    return Check(
+        "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}
+    )
+
+
+def sextic_space_exact(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
+    """The exact kernel of the value, x-, y- and z-conditions, and u^2, uv, v^2, w against it."""
+    kernel = curve._space_through_points(seed, 6, ["", "x", "y", "z"])
+    forms = [u * u, u * v, v * v, w]
+    basis = len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4
+    return Check("sextic_space_dimension", basis, {"dimension": len(kernel)})
