@@ -235,9 +235,10 @@ def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
     F_p rank 24 bounds the dimension by 4.  The basis then follows by
     proof: u and v vanish at the points, so u^2, uv, v^2 vanish doubly
     (product rule); w is checked to; u and v are independent, so u^2, uv,
-    v^2 are; and u, v vanish at (0:0:1) while w does not.  If any premise
-    fails the exact kernel over Q is computed, and the forms are a basis
-    iff they are four independent forms in its span.
+    v^2 are; and u, v vanish at (0:0:1) while w does not (a form of degree
+    d takes its z^d coefficient there).  If any premise fails the exact
+    kernel over Q is computed, and the forms are a basis iff they are four
+    independent forms in its span.
     """
     h, p = seed.h, CERT_PRIME
     try:
@@ -253,8 +254,8 @@ def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
         and tri_eval_param(v, h).is_zero
         and _vanishes_doubly(w, h)
         and forms_rank([u, v], 3) == 2
-        and u.eval(0, 0, 1) == v.eval(0, 0, 1) == 0
-        and w.eval(0, 0, 1) != 0
+        and u.coeff((0, 0, 3)) == v.coeff((0, 0, 3)) == 0
+        and w.coeff((0, 0, 6)) != 0
     ):
         return Check("sextic_space_dimension", True, {"dimension": 4})
     kernel = _space_through_points(seed, 6, _xy_ops(1))
@@ -371,20 +372,20 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
     # a kernel basis is independent, so equal ranks put u and v in its span
     cubics = cubic_space(seed)
     cubic_ok = len(cubics) == 2 and forms_rank(cubics + [u, v], 3) == 2
-    ninth_cubic = all(c.eval(0, 0, 1) == 0 for c in cubics)
+    ninth_cubic = all(c.coeff((0, 0, 3)) == 0 for c in cubics)
     checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
     checks.append(Check("cubic_space_ninth_point", ninth_cubic, {}))
 
     sextic = sextic_space(seed, u, v, w)
     checks.append(sextic)
-    w_ninth = w.eval(0, 0, 1)
+    w_ninth = w.coeff((0, 0, 6))
     checks.append(Check(
         "w_ninth_point_value",
         w_ninth == seed.h0 ** 2 and w_ninth != 0,
         {"value": w_ninth, "expected": seed.h0 ** 2},
     ))
     # u^2, uv and v^2 vanish at (0:0:1) iff u and v do
-    sq_vanish = u.eval(0, 0, 1) == v.eval(0, 0, 1) == 0
+    sq_vanish = u.coeff((0, 0, 3)) == v.coeff((0, 0, 3)) == 0
     checks.append(Check("pencil_squares_vanish_at_ninth_point", sq_vanish, {}))
     # a basis of the system vanishes doubly at the points, w with it
     w_vanish = sextic.passed or _vanishes_doubly(w, h)

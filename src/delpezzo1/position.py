@@ -46,17 +46,18 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     where the first factor is the product of a + 2b over the 64 ordered
     root pairs (it equals Res(h(t), h(-2t)), the product of 2a + b) and
     P2 is the monic degree-28 polynomial of the sums b+c over the C(8, 2)
-    distinct unordered pairs (distinct_pair_sum_poly).  The first factor
-    costs one resultant of two degree-8 polynomials and vanishes exactly
-    when two roots form a pair {a, -2a} (a = b would need 3a = 0, and
-    h(0) != 0): the only way a triple with a repeated root, (a, a, -2a),
-    sums to zero.  So it is taken first, and P2 is built only when it is
-    nonzero; a seed with such a pair goes to the deflated branch without
-    building any composed-sum polynomial in the fast path.  If T(0) != 0 no
-    triple at all sums to zero and we are done.  Otherwise some triple
-    WITH REPEATS may be responsible, so the degenerate patterns are split
-    off.  With E(s) covering the sums 2a + c (degree 64) and h3(s) the
-    sums 3a, ordered triples partition as
+    distinct unordered pairs (distinct_pair_sum_poly).  Each resultant is
+    one 8 x 8 norm determinant in Q[t]/(h) (UniPoly.resultant), after
+    reducing P2(-t) modulo h for the second.  The first factor vanishes
+    exactly when two roots form a pair {a, -2a} (a = b would need 3a = 0,
+    and h(0) != 0): the only way a triple with a repeated root,
+    (a, a, -2a), sums to zero.  So it is taken first, and P2 is built only
+    when it is nonzero; a seed with such a pair goes to the deflated branch
+    without building any composed-sum polynomial in the fast path.  If
+    T(0) != 0 no triple at all sums to zero and we are done.  Otherwise
+    some triple WITH REPEATS may be responsible, so the degenerate patterns
+    are split off.  With E(s) covering the sums 2a + c (degree 64) and
+    h3(s) the sums 3a, ordered triples partition as
 
         T = g^6 * (E / h3)^3 * h3,
 

@@ -23,10 +23,6 @@ Scalar = int | Fraction
 # drop modulo it is rare.
 CERT_PRIME = 2**31 - 1
 
-# Degree bound below which resultants go straight to Sylvester/Bareiss
-# instead of Euclidean degree reduction.
-_BAREISS_CUTOFF = 16
-
 
 def _frac(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
@@ -256,35 +252,35 @@ class UniPoly:
     # -- resultants -----------------------------------------------------
 
     def resultant(self, other: UniPoly) -> Fraction:
-        """Res_t(self, other), computed fraction-free.
+        """Res_t(self, other), as one deg(self)^3 determinant on Python ints.
 
-        Large-degree inputs are first shrunk by Euclidean reduction of the
-        bigger argument modulo the smaller one; the small residual pair is
-        finished by Bareiss elimination of the Sylvester matrix.
+        With n = deg f and m = deg g for f = self, g = other,
+        Res(f, g) = lc(f)^m * prod g(a) over the roots a of f, and
+        g(a) = r(a) for r = g mod f.  That product is the norm of r: the
+        determinant of multiplication by r on Q[t]/(f), whose columns are
+        t^j r mod f.  They are built on ints: F = c*f/lc(f) with c the lcm
+        of the denominators of f/lc(f) (c = 1 for an integer monic f), the
+        first column is d*r with d the lcm of r's denominators, and each
+        next column is c*t*col - top*F, top being col's t^(n-1) coefficient.
+        Column j is then c^j d t^j r mod f, so the n x n Bareiss determinant
+        of the columns (taken as rows: the transpose has the same
+        determinant) carries the factor c^(n(n-1)/2) d^n, divided out
+        exactly.  The cost is the one reduction g mod f and that determinant.
         """
         if self.is_zero or other.is_zero:
             raise ValueError("resultant requires nonzero polynomials")
-        f, g = self, other
-        sign = 1
-        acc = Fraction(1)
-        while True:
-            if f.degree == 0:
-                return sign * acc * f.lc**g.degree
-            if g.degree == 0:
-                return sign * acc * g.lc**f.degree
-            if f.degree < g.degree:
-                if (f.degree & 1) and (g.degree & 1):
-                    sign = -sign
-                f, g = g, f
-            if f.degree <= _BAREISS_CUTOFF:
-                return sign * acc * _sylvester_resultant(f, g)
-            r = f % g
-            if r.is_zero:
-                return Fraction(0)
-            if (f.degree & 1) and (g.degree & 1):
-                sign = -sign
-            acc *= g.lc ** (f.degree - r.degree)
-            f, g = g, r
+        n, m, lc = self.degree, other.degree, self.lc
+        if n == 0:
+            return lc**m
+        f_int, c = _clear_denominators([a / lc for a in self.coeffs])
+        col, d = _clear_denominators((other % self).coeffs)
+        col += [0] * (n - len(col))
+        cols = [col]
+        for _ in range(n - 1):
+            top = col[-1]
+            col = [c * a - top * b for a, b in zip([0] + col[:-1], f_int)]
+            cols.append(col)
+        return lc**m * Fraction(bareiss_det(cols), c ** (n * (n - 1) // 2) * d**n)
 
     def discriminant(self) -> Fraction:
         """Standard discriminant (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
@@ -316,26 +312,6 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators over the common denominator lcm, and that lcm."""
     lcm = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
-
-
-def _sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    fi, df_scale = _clear_denominators(f.coeffs)
-    gi, dg_scale = _clear_denominators(g.coeffs)
-    n, m = f.degree, g.degree
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(fi)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(gi)):
-            row[i + j] = c
-        rows.append(row)
-    det = bareiss_det(rows)
-    return Fraction(det, df_scale**m * dg_scale**n)
 
 
 # -- power sums and composed sums, on Python ints ----------------------

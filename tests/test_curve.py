@@ -193,14 +193,19 @@ class TestWorkedPipeline:
 class TestSeedInvariants:
     def test_construction_identities_on_random_seeds(self):
         rng = random.Random(59)
-        for _ in range(8):
-            seed = random_valid_seed(rng)
+        seeds = [random_valid_seed(rng) for _ in range(8)]
+        seeds.append(validate_seed(FIXED_FRACTION_COEFFS))
+        seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
+        for seed in seeds:
             v = build_v(seed)
             assert v.param_eval() == UniPoly([0, 1]) * seed.h
             assert v.x_degree == 3
             assert v.eval(0, 0, 1) == 0
             w, *_ = build_w(seed)
             assert w.eval(0, 0, 1) == seed.h0**2
+            # the value at (0:0:1) that verify_bundle reads as the z^deg coefficient
+            for form in [U_FORM, v, w] + cubic_space(seed):
+                assert form.coeff((0, 0, form.total_degree)) == form.eval(0, 0, 1)
             for s in ("x", "y", "z"):
                 assert tri_eval_param(w.derivative(s), seed.h).is_zero
             assert tri_eval_param(w, seed.h).is_zero
@@ -212,7 +217,7 @@ class TestLinearSystems:
         assert len(basis) == 2
         assert forms_rank(basis + [U_FORM], 3) == forms_rank(basis, 3)
         assert forms_rank(basis + [build_v(seed_x8)], 3) == forms_rank(basis, 3)
-        assert all(c.eval(0, 0, 1) == 0 for c in basis)
+        assert all(c.eval(0, 0, 1) == c.coeff((0, 0, 3)) == 0 for c in basis)
 
     def test_sextic_space_worked_seed(self, seed_x8):
         bundle = build_bundle(seed_x8)
@@ -224,7 +229,7 @@ class TestLinearSystems:
             assert forms_rank(oracle + [f], 6) == forms_rank(oracle, 6)
         for f in (bundle.u**2, bundle.u * bundle.v, bundle.v**2):
             assert f.eval(0, 0, 1) == 0
-        assert bundle.w.eval(0, 0, 1) != 0
+        assert bundle.w.eval(0, 0, 1) == bundle.w.coeff((0, 0, 6)) != 0
 
     def test_u_always_in_cubic_kernel(self):
         rng = random.Random(61)

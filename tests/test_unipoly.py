@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import COLLINEAR_BAD, CONIC_BAD, FIXED_FRACTION_COEFFS, X8_COEFFS
 from delpezzo1 import curve, unipoly
 from delpezzo1.cli import main
+from delpezzo1.linalg import bareiss_det
 from delpezzo1.unipoly import (
     UniPoly,
     binomial_convolution,
@@ -51,6 +53,23 @@ def fraction_euclid_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     while not g.is_zero:
         f, g = g, fraction_long_division(f, g)[1]
     return f.monic()
+
+
+def sylvester_resultant(f: UniPoly, g: UniPoly) -> Fraction:
+    """Bareiss determinant of the Sylvester matrix: the oracle for the norm determinant.
+
+    Denominators are cleared per polynomial; the matrix has deg f rows of
+    g's coefficients and deg g rows of f's, so a constant argument needs
+    no special case.
+    """
+    df = math.lcm(*(c.denominator for c in f.coeffs))
+    dg = math.lcm(*(c.denominator for c in g.coeffs))
+    fi = [int(c * df) for c in reversed(f.coeffs)]
+    gi = [int(c * dg) for c in reversed(g.coeffs)]
+    n, m = f.degree, g.degree
+    rows = [[0] * i + fi + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gi + [0] * (n - 1 - i) for i in range(n)]
+    return Fraction(bareiss_det(rows), df**m * dg**n)
 
 
 # coefficients of the three seed kinds: small, 100-bit, and p/q up to 10^6
@@ -287,10 +306,30 @@ class TestResultant:
             for i, c in enumerate(big.coeffs)
         )
         assert val == sp.Rational(sp.resultant(f_s, g_s, t))
+        assert big.resultant(H8) == sp.Rational(sp.resultant(g_s, f_s, t))
 
     def test_zero_argument_rejected(self):
         with pytest.raises(ValueError):
             H8.resultant(UniPoly())
+
+    # rational non-monic arguments in both degree orders, constants included
+    @given(divisors, st.lists(coefficients, min_size=1, max_size=14).map(UniPoly).filter(bool))
+    @example(UniPoly([5]), UniPoly([Fraction(-2, 3)]))
+    @example(UniPoly([Fraction(3, 4)]), H8)
+    @example(H8, UniPoly([Fraction(3, 4)]))
+    @example(UniPoly([Fraction(1, 6), Fraction(-5, 12), 0, 7]), UniPoly([Fraction(2, 9), -3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sylvester_oracle_and_antisymmetry(self, f, g):
+        value = f.resultant(g)
+        assert value == sylvester_resultant(f, g)
+        assert value == (-1) ** (f.degree * g.degree) * g.resultant(f)
+
+    @given(divisors, divisors, coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_shared_root_gives_zero(self, f, g, root):
+        factor = UniPoly([-root, 1])
+        assert (f * factor).resultant(g * factor) == 0
+        assert (g * factor).resultant(f * factor) == 0
 
 
 class TestDiscriminant:
