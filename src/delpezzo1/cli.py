@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 
 from .curve import SeedError, SeedPoly, build_bundle, build_v, validate_seed, verify_bundle
 from .galois import certify_galois
@@ -25,20 +26,12 @@ from .lattice import (
     picard_model_check,
 )
 from .position import position_checks
-from .serialize import Check, parse_frac, to_canonical_json, to_text
+from .serialize import Check, to_canonical_json, to_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_ERROR = 3
-
-
-def _parse_seed(poly: str) -> SeedPoly:
-    try:
-        coeffs = [parse_frac(p) for p in poly.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SeedError("unparseable", f"cannot parse coefficients: {exc}") from exc
-    return validate_seed(coeffs)
 
 
 def _forms(bundle) -> dict:
@@ -47,20 +40,8 @@ def _forms(bundle) -> dict:
 
 def _galois_check(seed: SeedPoly, prime_bound: int) -> Check:
     cert = certify_galois(seed, prime_bound)
-    return Check(
-        "galois_certified",
-        cert.certified,
-        {
-            "verdict": cert.verdict,
-            "transitivity_prime": cert.transitivity_prime,
-            "five_cycle_prime": cert.five_cycle_prime,
-            "discriminant": cert.discriminant,
-            "discriminant_is_square": cert.disc_is_square,
-            "sampled_cycle_types": [
-                {"prime": ct.prime, "parts": ct.parts} for ct in cert.sampled_types
-            ],
-        },
-    )
+    witness = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    return Check("galois_certified", cert.certified, witness)
 
 
 def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
@@ -108,8 +89,8 @@ def _lattice(seed: None, args) -> tuple[list[Check], dict]:
         Check("root_count", len(roots) == (240 if d == 1 else 126), {"root_count": len(roots)}),
     ]
     if d == 1:
-        f8s = f8s_iso_check()
-        pic = picard_model_check()
+        f8s = f8s_iso_check(marked, comp)
+        pic = picard_model_check(marked)
         census = mod2_quadratic_census(comp.lattice, roots)
         lemma = linalg_lemma_check()
         checks += [
@@ -141,7 +122,7 @@ SUBCOMMANDS = {
 def build_report(args) -> tuple[dict, bool]:
     """The report payload of a parsed command line, and whether every check passed."""
     build, nested = SUBCOMMANDS[args.command]
-    seed = _parse_seed(args.poly) if "poly" in args else None
+    seed = validate_seed(args.poly.split(",")) if "poly" in args else None
     checks, blocks = build(seed, args)
     witnesses: dict = {}
     for check in checks:

@@ -62,12 +62,12 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
     Irreducibility is deliberately not required here; it is certified
     separately (and only one-sidedly) by the Galois machinery.
     """
-    if len(coeffs) != 9:
-        raise SeedError("wrong-count", f"expected 9 coefficients, got {len(coeffs)}")
     try:
         h = UniPoly(coeffs)
     except (ValueError, ZeroDivisionError) as exc:
         raise SeedError("unparseable", f"bad coefficient: {exc}") from exc
+    if len(coeffs) != 9:
+        raise SeedError("wrong-count", f"expected 9 coefficients, got {len(coeffs)}")
     if h.degree != 8:
         raise SeedError("wrong-degree", f"degree {h.degree}, expected 8")
     if h.lc != 1:

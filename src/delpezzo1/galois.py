@@ -34,9 +34,9 @@ class GaloisCertificate:
     verdict: str
     transitivity_prime: int | None
     five_cycle_prime: int | None
-    disc_is_square: bool
+    discriminant_is_square: bool
     discriminant: Fraction
-    sampled_types: tuple[CycleType, ...]
+    sampled_cycle_types: tuple[CycleType, ...]
 
     @property
     def certified(self) -> bool:
@@ -79,7 +79,7 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
         verdict=verdict,
         transitivity_prime=transitivity,
         five_cycle_prime=five_cycle,
-        disc_is_square=square,
+        discriminant_is_square=square,
         discriminant=disc,
-        sampled_types=tuple(sampled),
+        sampled_cycle_types=tuple(sampled),
     )

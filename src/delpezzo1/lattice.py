@@ -7,10 +7,11 @@ with integer isqrt bounds, and four checks returned as
 :class:`~delpezzo1.serialize.Check` values: the mod-2 identification of
 the complement with F2^8, the blow-up model of the rank-9 Picard lattice,
 the mod-2 quadratic-form census, and the independence lemma for tuples
-pairing to 1.  The last two settle their mod-2 facts by proof rather than
-search: root reflections preserve q by the polarization identity, and the
-lemma holds for a tuple size m because (J - I)^2 = I over F2 for even m,
-so one determinant of J - I covers every tuple of that size.
+pairing to 1.  Each settles its mod-2 facts by proof rather than search:
+the identification by F2 ranks of the computed complement's reduced basis,
+root reflections preserve q by the polarization identity, and the lemma
+holds for a tuple size m because (J - I)^2 = I over F2 for even m, so one
+determinant of J - I covers every tuple of that size.
 """
 
 from __future__ import annotations
@@ -206,81 +207,70 @@ def linalg_lemma_check() -> Check:
 # -- named verification bundles ---------------------------------------------
 
 
-def _perm_mask(mask: int, tau: tuple[int, ...]) -> int:
-    """Bit 0 fixed, bit i sent to bit tau(i), acting on a 9-bit mask."""
-    out = mask & 1
-    for i in range(1, len(tau) + 1):
-        if mask >> i & 1:
-            out |= 1 << tau[i - 1]
-    return out
+def _mask(v: Vector) -> int:
+    """The mod-2 reduction of an integer vector, coordinate i at bit i."""
+    return sum((c & 1) << i for i, c in enumerate(v))
 
 
-def f8s_iso_check() -> Check:
-    """Check the explicit mod-2 identification of the omega-complement.
+def _mod2_gram_rows(lat: IntLattice, vs: list[Vector]) -> list[int]:
+    """Row i has bit j set when (vs[i], vs[j]) is odd."""
+    return [sum((lat.pair(a, b) & 1) << j for j, b in enumerate(vs)) for a in vs]
 
-    Inside the 9-dimensional reduction of the rank-9 hyperbolic lattice
-    the basis classes are orthonormal and the reduction of omega is the
-    all-ones vector, so the complement consists of the even-weight masks.
-    Dropping coordinate 0 maps it onto F2^8; the check confirms this map
-    is bijective and commutes with the swap (1 2) and the full 8-cycle,
-    and records the bilinear form the identification transports (ones off
-    the diagonal, zeros on it).
+
+def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
+    """Check the mod-2 identification of the omega-complement with F2^8.
+
+    `marked` is I^{1,8} with omega and `comp` its computed complement.  The
+    reduced basis of `comp` must have rank 8 and pair evenly with omega,
+    so it spans the mod-2 orthogonal of omega; dropping coordinate 0 must
+    map that span onto F2^8.  The swap (1 2) and the 8-cycle (1 ... 8)
+    generate S8 acting on e_1, ..., e_8; both fix coordinate 0, so dropping
+    it commutes with them, and the identification is equivariant when the
+    span is stable under both (adding the permuted basis keeps the rank)
+    and both fix omega.  The witness also records the form the
+    identification transports: the mod-2 Gram rows of the lifts e_0 + e_i
+    of the standard basis (ones off the diagonal, zeros on it).
     """
-    complement = [v for v in range(512) if v.bit_count() % 2 == 0]
-    dim = f2_rank(complement)
-    images = [v >> 1 for v in complement]
-    image_rank = f2_rank(images)
-    bijective = image_rank == 8 and len(set(images)) == len(complement)
+    lat, omega, basis = marked.lattice, marked.omega, comp.ambient_basis
+    masks = [_mask(b) for b in basis]
+    dim = f2_rank(masks)
+    omega_even = all(lat.pair(b, omega) % 2 == 0 for b in basis)
+    bijective = f2_rank([m >> 1 for m in masks]) == 8
 
-    swap = (2, 1, 3, 4, 5, 6, 7, 8)
-    cycle = (2, 3, 4, 5, 6, 7, 8, 1)
-    eq_swap = all(
-        (_perm_mask(v, swap) >> 1) == _perm_mask((v >> 1) << 1, swap) >> 1
-        for v in complement
-    )
-    eq_cycle = all(
-        (_perm_mask(v, cycle) >> 1) == _perm_mask((v >> 1) << 1, cycle) >> 1
-        for v in complement
-    )
+    n = lat.rank
+    swap = (0, 2, 1, *range(3, n))
+    cycle = (0, *range(2, n), 1)
+    stable = [
+        f2_rank(masks + [_mask(tuple(b[t] for t in tau)) for b in basis]) == dim
+        for tau in (swap, cycle)
+    ]
+    fixed = all(tuple(omega[t] for t in tau) == omega for tau in (swap, cycle))
 
-    ones = (1 << 8) - 1
-    fixed = all(
-        _perm_mask(ones << 1, tau) >> 1 == ones for tau in (swap, cycle)
-    )
-
-    # transported form: pair the preimages e0 + e_i of the standard basis
-    # vectors under the orthonormal mod-2 pairing (parity of the overlap)
-    induced = tuple(
-        sum(
-            (((1 | 1 << i) & (1 | 1 << j)).bit_count() & 1) << (j - 1)
-            for j in range(1, 9)
-        )
-        for i in range(1, 9)
-    )
+    lifts = [tuple(int(k in (0, i)) for k in range(n)) for i in range(1, n)]
     return Check(
         "mod2_identification",
-        dim == 8 and bijective and eq_swap and eq_cycle and fixed,
+        dim == 8 and omega_even and bijective and all(stable) and fixed,
         {
             "complement_dimension": dim,
+            "omega_pairing_even": omega_even,
             "bijective": bijective,
-            "equivariant_swap": eq_swap,
-            "equivariant_cycle": eq_cycle,
+            "equivariant_swap": stable[0],
+            "equivariant_cycle": stable[1],
             "all_ones_fixed": fixed,
-            "induced_form_rows": induced,
+            "induced_form_rows": tuple(_mod2_gram_rows(lat, lifts)),
         },
     )
 
 
-def picard_model_check() -> Check:
+def picard_model_check(marked: MarkedLattice) -> Check:
     """Gram identities in the blow-up model of the rank-9 Picard lattice.
 
-    Basis f_0, l_1, ..., l_8 with f_0^2 = 1 and l_b^2 = -1; the canonical
-    class is K = -3 f_0 + sum l_b, the omega of build_hyperbolic(1).  The
-    vectors v_i = l_i + K pair to -2 on the diagonal and -1 off it, and
-    their mod-2 images are linearly independent with a nonsingular
-    all-ones-off-diagonal pairing matrix.
+    `marked` is build_hyperbolic(1): basis f_0, l_1, ..., l_8 with
+    f_0^2 = 1 and l_b^2 = -1, and omega the canonical class
+    K = -3 f_0 + sum l_b.  The vectors v_i = l_i + K pair to -2 on the
+    diagonal and -1 off it, and their mod-2 images are linearly independent
+    with a nonsingular all-ones-off-diagonal pairing matrix.
     """
-    marked = build_hyperbolic(1)
     lat, k = marked.lattice, marked.omega
     n = lat.rank - 1
     vs = []
@@ -293,12 +283,8 @@ def picard_model_check() -> Check:
     off_ok = all(
         lat.pair(vs[i], vs[j]) == -1 for i in range(n) for j in range(n) if i != j
     )
-    masks = [sum((v[c] & 1) << c for c in range(lat.rank)) for v in vs]
-    independent = f2_rank(masks) == n
-    mod2_rows = [
-        sum((lat.pair(vs[i], vs[j]) & 1) << j for j in range(n)) for i in range(n)
-    ]
-    det = f2_det(mod2_rows, n)
+    independent = f2_rank([_mask(v) for v in vs]) == n
+    det = f2_det(_mod2_gram_rows(lat, vs), n)
     return Check(
         "picard_gram",
         kk == 1 and all(v == -2 for v in diag) and off_ok and independent and det == 1,
@@ -343,12 +329,12 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     q1 = sum(qvals)
     q0 = (1 << n) - 1 - q1
 
-    root_masks = sorted({sum((r[i] & 1) << i for i in range(n)) for r in roots})
+    root_masks = sorted({_mask(r) for r in roots})
     roots_q1 = all(qvals[m] == 1 for m in root_masks)
 
     # odd[m] has bit j set when (e_j, m) is odd, the XOR of the mod-2 Gram
     # rows over the bits of m; it is 0 when every class pairs evenly with m
-    rows2 = [sum((g[i][j] & 1) << j for j in range(n)) for i in range(n)]
+    rows2 = [_mask(row) for row in g]
     odd = {}
     for m in root_masks:
         acc = 0

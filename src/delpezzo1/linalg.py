@@ -162,15 +162,5 @@ def f2_rank(vectors: list[int]) -> int:
 
 
 def f2_det(rows: list[int], n: int) -> int:
-    """Determinant over F2 of an n x n bitmask matrix (0 or 1)."""
-    m = rows[:]
-    for c in range(n):
-        bit = 1 << c
-        pivot = next((i for i in range(c, n) if m[i] & bit), None)
-        if pivot is None:
-            return 0
-        m[c], m[pivot] = m[pivot], m[c]
-        for i in range(n):
-            if i != c and m[i] & bit:
-                m[i] ^= m[c]
-    return 1
+    """Determinant over F2 of an n x n bitmask matrix: 1 exactly when it has rank n."""
+    return int(f2_rank(rows) == n)

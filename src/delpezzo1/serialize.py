@@ -11,7 +11,7 @@ emit identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .tripoly import TriPoly
@@ -38,16 +38,13 @@ def frac_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def jsonable(value):
     """JSON-ready copy of a payload.
 
     Fractions become decimal strings, a UniPoly its ascending coefficient
-    strings ([] for zero), and a TriPoly its monomial list
-    [{"e": [i, j, k], "c": "coeff"}, ...], leading term first.
+    strings ([] for zero), a TriPoly its monomial list
+    [{"e": [i, j, k], "c": "coeff"}, ...], leading term first, and a
+    dataclass instance the dict of its fields.
     """
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
@@ -61,6 +58,8 @@ def jsonable(value):
         return [{"e": list(e), "c": frac_str(c)} for e, c in value.sorted_terms()]
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     return str(value)
 
 

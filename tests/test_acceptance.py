@@ -211,11 +211,9 @@ def test_criterion_7_lattice_suite():
         if d == 1:
             ok &= comp.lattice.is_even
             ok &= mod2_quadratic_census(comp.lattice, roots).passed
+            ok &= picard_model_check(marked).passed
+            ok &= f8s_iso_check(marked, comp).passed
         ok &= len(roots) == count
-    pic = picard_model_check()
-    ok &= pic.passed
-    f8s = f8s_iso_check()
-    ok &= f8s.passed
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     report(7, f"lattice suite ({elapsed:.2f}s)", ok)

@@ -103,7 +103,9 @@ def test_exit_codes(tmp_path):
     # unknown command: argparse error
     assert run_cli(["frobnicate"]).returncode == 2
     # malformed coefficient string
-    assert run_cli(["construct", "--poly", "a,b,c"]).returncode == 2
+    malformed = run_cli(["construct", "--poly", "a,b,c"])
+    assert malformed.returncode == 2
+    assert "unparseable" in malformed.stderr
     # wrong count
     wrong = run_cli(["construct", "--poly", "1,2,3"])
     assert wrong.returncode == 2

@@ -20,20 +20,20 @@ def test_worked_seed_is_s8_certified(seed_x8):
     assert cert.verdict == S8_CERTIFIED
     assert cert.transitivity_prime is not None
     assert cert.five_cycle_prime is not None
-    assert not cert.disc_is_square
+    assert not cert.discriminant_is_square
     assert cert.discriminant == -17600759
 
 
 def test_witness_primes_have_the_claimed_types(seed_x8):
     cert = certify_galois(seed_x8, 200)
-    by_prime = {ct.prime: ct.parts for ct in cert.sampled_types}
+    by_prime = {ct.prime: ct.parts for ct in cert.sampled_cycle_types}
     assert by_prime[cert.transitivity_prime] == (8,)
     assert 5 in by_prime[cert.five_cycle_prime]
 
 
 def test_sampled_primes_ascend(seed_x8):
     cert = certify_galois(seed_x8, 200)
-    primes = [ct.prime for ct in cert.sampled_types]
+    primes = [ct.prime for ct in cert.sampled_cycle_types]
     assert primes == sorted(primes)
 
 
@@ -43,7 +43,7 @@ def test_cyclotomic_style_seed_stays_inconclusive():
         cert = certify_galois(seed, bound)
         assert cert.verdict == INCONCLUSIVE
         # the group has exponent 4: no type may ever contain 5 or 8
-        for ct in cert.sampled_types:
+        for ct in cert.sampled_cycle_types:
             assert 5 not in ct.parts
             assert ct.parts != (8,)
 
@@ -53,7 +53,7 @@ def test_reducible_seed_stays_inconclusive():
     cert = certify_galois(seed, 500)
     assert cert.verdict == INCONCLUSIVE
     assert cert.transitivity_prime is None
-    for ct in cert.sampled_types:
+    for ct in cert.sampled_cycle_types:
         assert ct.parts != (8,)
 
 
@@ -63,7 +63,7 @@ def test_certificate_stays_one_sided_on_square_discriminant():
     # rather than guess, and a square discriminant must never yield S8
     seed = validate_seed([28, -16, 0, 0, 0, 0, 0, 0, 1])
     cert = certify_galois(seed, 500)
-    assert cert.disc_is_square
+    assert cert.discriminant_is_square
     assert cert.verdict in (A8_CERTIFIED, INCONCLUSIVE)
     assert cert.verdict != S8_CERTIFIED
 
@@ -117,6 +117,6 @@ def test_root_scaling(coeffs, k):
     base = certify_galois(seed, 500)
     scaled = certify_galois(validate_seed(seed.h.scale_roots(k).coeffs), 500)
     assert scaled.discriminant == k**56 * base.discriminant
-    assert scaled.disc_is_square == base.disc_is_square
+    assert scaled.discriminant_is_square == base.discriminant_is_square
     if base.certified and scaled.certified:
         assert scaled.verdict == base.verdict

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from delpezzo1.lattice import (
     IntLattice,
+    MarkedLattice,
+    Sublattice,
     build_hyperbolic,
     enumerate_short_vectors,
     f8s_iso_check,
@@ -153,25 +155,80 @@ class TestShortVectors:
         assert all(type(c) is int for v in found for c in v)
 
 
+def _d1():
+    marked = build_hyperbolic(1)
+    return marked, orth_complement(marked.lattice, marked.omega)
+
+
+def _with_basis(lat, basis):
+    """A Sublattice of `lat` spanned by `basis`, with its induced Gram matrix."""
+    gram = tuple(tuple(lat.pair(a, b) for b in basis) for a in basis)
+    return Sublattice(IntLattice(len(basis), gram), tuple(basis))
+
+
 class TestF8S:
     def test_full_report(self):
-        check = f8s_iso_check()
+        check = f8s_iso_check(*_d1())
         rep = check.witness
         assert rep["complement_dimension"] == 8
+        assert rep["omega_pairing_even"]
         assert rep["bijective"]
         assert rep["equivariant_swap"] and rep["equivariant_cycle"]
         assert rep["all_ones_fixed"]
         assert check.passed
 
     def test_induced_form_is_ones_off_diagonal(self):
-        rep = f8s_iso_check().witness
+        rep = f8s_iso_check(*_d1()).witness
         for i, row in enumerate(rep["induced_form_rows"]):
             assert row == (0xFF ^ (1 << i))
+
+    def test_d2_complement_fails(self):
+        # E7 has rank 7: its reduction cannot fill F2^8, though it is S7-stable
+        marked = build_hyperbolic(2)
+        check = f8s_iso_check(marked, orth_complement(marked.lattice, marked.omega))
+        rep = check.witness
+        assert rep["complement_dimension"] == 7
+        assert not rep["bijective"]
+        assert rep["equivariant_swap"] and rep["equivariant_cycle"]
+        assert not check.passed
+
+    def test_doubled_basis_vector_fails(self):
+        # 2 b_3 reduces to 0; e_1 + e_4 leaves the span, which the cycle moves
+        marked, comp = _d1()
+        basis = list(comp.ambient_basis)
+        basis[3] = tuple(2 * c for c in basis[3])
+        check = f8s_iso_check(marked, _with_basis(marked.lattice, basis))
+        rep = check.witness
+        assert rep["complement_dimension"] == 7
+        assert not rep["bijective"]
+        assert rep["equivariant_swap"] and not rep["equivariant_cycle"]
+        assert not check.passed
+
+    def test_basis_vector_pairing_oddly_with_omega_fails(self):
+        # b + omega pairs to (omega, omega) = 1 with omega; the span still
+        # has rank 8 and is S8-stable, so only the evenness test catches it
+        marked, comp = _d1()
+        lat, omega = marked.lattice, marked.omega
+        basis = list(comp.ambient_basis)
+        basis[0] = tuple(b + w for b, w in zip(basis[0], omega))
+        check = f8s_iso_check(marked, _with_basis(lat, basis))
+        assert check.witness["complement_dimension"] == 8
+        assert not check.witness["omega_pairing_even"]
+        assert not check.passed
+
+    def test_omega_moved_by_the_swap_fails(self):
+        # -3 e_0 + 3 e_1 + e_2 + ... + e_8 has omega's reduction but is not S8-fixed
+        marked, comp = _d1()
+        omega = (-3, 3) + marked.omega[2:]
+        check = f8s_iso_check(MarkedLattice(marked.lattice, omega), comp)
+        assert check.witness["omega_pairing_even"]
+        assert not check.witness["all_ones_fixed"]
+        assert not check.passed
 
 
 class TestPicard:
     def test_gram_identities(self):
-        check = picard_model_check()
+        check = picard_model_check(build_hyperbolic(1))
         rep = check.witness
         assert rep["canonical_self_pairing"] == 1
         assert rep["diag_pairings"] == (-2,) * 8
@@ -191,7 +248,7 @@ class TestPicard:
         assert f2_rank([_reduce(v) for v in vs]) == 8
         lemma = linalg_lemma_check().witness
         m8 = lemma["determinants"][lemma["tuple_sizes"].index(8)]
-        assert picard_model_check().witness["mod2_gram_det"] == m8 == 1
+        assert picard_model_check(marked).witness["mod2_gram_det"] == m8 == 1
 
 
 def _lift(mask, n):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,16 @@ def test_f2_rank_and_det():
     # all-ones-off-diagonal matrix on 8 bits is invertible
     rows = [(0xFF ^ (1 << i)) for i in range(8)]
     assert f2_det(rows, 8) == 1
+    rng = random.Random(83)
+    for n in range(1, 6):
+        for _ in range(60):
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            assert f2_det(rows, n) == _leibniz_det_mod2(rows, n)
+
+
+def _leibniz_det_mod2(rows, n):
+    # over F2 every sign is 1: count the permutations whose entries are all 1
+    return sum(all(rows[i] >> p[i] & 1 for i in range(n)) for p in permutations(range(n))) & 1
 
 
 def test_fp_rank():
