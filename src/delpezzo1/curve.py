@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import perm
 from typing import Sequence
 
-from .finitefield import PrimeSkip, fp_rem, poly_mod_p
+from .finitefield import PrimeSkip, fp_divrem, poly_mod_p
 from .linalg import fp_rank, q_kernel_basis, q_rank
 from .quotient import common_factor, qr_reduce, tri_eval_param
 from .serialize import Check
@@ -246,7 +246,7 @@ def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
     except PrimeSkip:
         rows = []
     else:
-        powers = [fp_rem([0] * n + [1], hp, p) for n in range(3 * 6 + 1)]
+        powers = [fp_divrem([0] * n + [1], hp, p)[1] for n in range(3 * 6 + 1)]
         rows = _constraint_rows(powers, 6, _xy_ops(1))
     if (
         fp_rank(rows, p) == 24

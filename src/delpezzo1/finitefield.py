@@ -53,53 +53,40 @@ def poly_mod_p(f: UniPoly, p: int) -> FpPoly:
     return _trim(out)
 
 
-def fp_mul(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
-    if not a or not b:
-        return []
+def fp_divrem(a: FpPoly, b: FpPoly, p: int) -> tuple[FpPoly, FpPoly]:
+    """Quotient and remainder of a by b over F_p, reduced lazily.
+
+    a may hold any ints.  Each quotient digit is reduced mod p, the lower
+    coefficients stay plain ints while the digits are subtracted, and the
+    remainder is reduced once at the end.
+    """
+    if not b:
+        raise ZeroDivisionError
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        qi = q[i - db] = a[i] * inv % p
+        if qi:
+            for j in range(db):
+                a[i - db + j] -= qi * b[j]
+    return _trim(q), _trim([c % p for c in a[:db]])
+
+
+def fp_mulmod(a: FpPoly, b: FpPoly, mod: FpPoly, p: int) -> FpPoly:
+    """a * b mod (mod, p): the plain integer product, reduced once."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def fp_rem(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
-    if not b:
-        raise ZeroDivisionError
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q = c * inv % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
-    return _trim(a[:db])
-
-
-def fp_divexact(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
-    """Quotient a // b, raising if the division is not exact."""
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            qi = c * inv % p
-            q[i - db] = qi
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - qi * b[j]) % p
-    if _trim(a):
-        raise ArithmeticError("inexact division over F_p")
-    return _trim(q)
+                out[i + j] += ca * cb
+    return fp_divrem(out, mod, p)[1]
 
 
 def fp_gcd(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
     while b:
-        a, b = b, fp_rem(a, b, p)
+        a, b = b, fp_divrem(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -112,13 +99,13 @@ def fp_deriv(a: FpPoly, p: int) -> FpPoly:
 
 def fp_powmod(base: FpPoly, e: int, mod: FpPoly, p: int) -> FpPoly:
     result = [1]
-    base = fp_rem(base, mod, p)
+    base = fp_divrem(base, mod, p)[1]
     while e:
         if e & 1:
-            result = fp_rem(fp_mul(result, base, p), mod, p)
+            result = fp_mulmod(result, base, mod, p)
         e >>= 1
         if e:
-            base = fp_rem(fp_mul(base, base, p), mod, p)
+            base = fp_mulmod(base, base, mod, p)
     return result
 
 
@@ -139,7 +126,7 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
     inv = pow(hp[-1], -1, p)
     f = [c * inv % p for c in hp]
     parts: list[int] = []
-    xq = fp_rem([0, 1], f, p)
+    xq = fp_divrem([0, 1], f, p)[1]
     d = 0
     while len(f) - 1 > 0:
         d += 1
@@ -152,8 +139,10 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
         if len(g) - 1 > 0:
             deg_g = len(g) - 1
             parts.extend([d] * (deg_g // d))
-            f = fp_divexact(f, g, p)
-            xq = fp_rem(xq, f, p)
+            f, r = fp_divrem(f, g, p)
+            if r:
+                raise ArithmeticError("inexact division over F_p")
+            xq = fp_divrem(xq, f, p)[1]
     ct = CycleType(p, tuple(sorted(parts)))
     if ct.degree != h.degree:
         raise ArithmeticError(f"factor degrees {ct.parts} do not add up to {h.degree}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import bareiss_det, f2_det, f2_rank, int_functional_kernel
 from .serialize import Check
@@ -41,15 +42,7 @@ class IntLattice:
                     raise ValueError("gram not symmetric")
 
     def pair(self, x: Vector, y: Vector) -> int:
-        return sum(
-            x[i] * self.gram[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if x[i] and self.gram[i][j] and y[j]
-        )
-
-    def norm(self, x: Vector) -> int:
-        return self.pair(x, x)
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
 
     @property
     def determinant(self) -> int:

@@ -207,13 +207,6 @@ class TriPoly:
             )
         return TriPoly({(i, j, degree - i - j): c for (i, j, _), c in self.terms.items()})
 
-    def eval(self, x: Scalar, y: Scalar, z: Scalar) -> Fraction:
-        x, y, z = _frac(x), _frac(y), _frac(z)
-        acc = Fraction(0)
-        for (i, j, k), c in self.terms.items():
-            acc += c * x**i * y**j * z**k
-        return acc
-
     def param_eval(self) -> UniPoly:
         """Substitute (x, y, z) = (t^3, t, 1) and return the result in t."""
         if not self.terms:

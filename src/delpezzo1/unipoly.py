@@ -39,10 +39,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> UniPoly:
-        return cls([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
@@ -111,19 +107,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, UniPoly):
@@ -131,12 +114,6 @@ class UniPoly:
         if isinstance(other, (int, Fraction)):
             return UniPoly([other])
         return NotImplemented
-
-    def __call__(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero:

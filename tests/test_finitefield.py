@@ -1,18 +1,22 @@
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import product, takewhile, zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delpezzo1.finitefield import (
     CycleType,
     PrimeSkip,
     ddf_degree_multiset,
-    fp_divexact,
-    fp_rem,
+    fp_divrem,
+    fp_mulmod,
     iter_primes,
     poly_mod_p,
 )
 from delpezzo1.unipoly import UniPoly
+from xyz_oracles import oracle_seeds
 
 
 def brute_factor_degrees(h: UniPoly, p: int) -> tuple[int, ...]:
@@ -31,14 +35,141 @@ def brute_factor_degrees(h: UniPoly, p: int) -> tuple[int, ...]:
             degs.append(len(f) - 1)
             break
         for tail in product(range(p), repeat=d):
-            cand = list(tail) + [1]
-            if not fp_rem(f, cand, p):
-                f = fp_divexact(f, cand, p)
+            quotient, rem = fp_divrem(f, list(tail) + [1], p)
+            if not rem:
+                f = quotient
                 degs.append(d)
                 if 2 * d > len(f) - 1 > 0:
                     break
         d += 1
     return tuple(sorted(degs))
+
+
+# The loops that fp_divrem and fp_mulmod replaced, kept as oracles: they
+# reduce mod p after every step and take reduced inputs.
+
+
+def _reduce(a, p):
+    out = [c % p for c in a]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _add(*polys):
+    return [sum(col) for col in zip_longest(*polys, fillvalue=0)]
+
+
+def _neg(a):
+    return [-c for c in a]
+
+
+def rem_oracle(a, b, p):
+    a = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            q = c * inv % p
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
+    return _reduce(a[:db], p)
+
+
+def divexact_oracle(a, b, p):
+    a = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            qi = c * inv % p
+            q[i - db] = qi
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - qi * b[j]) % p
+    if _reduce(a, p):
+        raise ArithmeticError("inexact division over F_p")
+    return _reduce(q, p)
+
+
+def mul_oracle(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _reduce(out, p)
+
+
+PRIMES = (2, 3, 499, 2**31 - 1)
+
+
+@st.composite
+def division_inputs(draw):
+    """(a, b, p): entries negative or far outside [0, p), lc(b) a unit mod p."""
+    p = draw(st.sampled_from(PRIMES))
+    entries = st.integers(-3 * p * p, 3 * p * p)
+    a = draw(st.lists(entries, max_size=12))
+    b = draw(st.lists(entries, max_size=6))
+    lead = draw(entries.filter(lambda c: c % p))
+    return a, b + [lead], p
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_inputs())
+def test_divrem_matches_the_reducing_loops(case):
+    a, b, p = case
+    q, r = fp_divrem(a, b, p)
+    assert all(0 <= c < p for c in q + r)
+    assert (not q or q[-1]) and (not r or r[-1])
+    assert len(r) < len(b)
+    assert _reduce(_add(mul_oracle(q, b, p), r, _neg(a)), p) == []
+    ar, br = _reduce(a, p), _reduce(b, p)
+    assert r == rem_oracle(ar, br, p)
+    assert q == divexact_oracle(_reduce(_add(ar, _neg(r)), p), br, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_inputs(), st.data())
+def test_mulmod_is_the_remainder_of_the_product(case, data):
+    _, mod, p = case
+    elems = st.lists(st.integers(0, p - 1), max_size=2 * len(mod))
+    a, b = data.draw(elems), data.draw(elems)
+    assert fp_mulmod(a, b, mod, p) == rem_oracle(mul_oracle(a, b, p), _reduce(mod, p), p)
+
+
+def test_divrem_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        fp_divrem([1, 2], [], 5)
+
+
+def test_cycle_types_are_invariant_under_root_scaling():
+    # at a prime p not dividing k, the roots of h.scale_roots(k) mod p are k
+    # times those of h, so the factor degrees (or the reason to skip) agree
+    primes = list(takewhile(lambda p: p <= 200, iter_primes()))
+    seeds = oracle_seeds()
+    cases = 0
+    for seed in seeds:
+        h = seed.h
+        for k in (Fraction(2), Fraction(-3), Fraction(1, 5), Fraction(-7, 2)):
+            scaled = h.scale_roots(k)
+            for p in primes:
+                if k.numerator % p == 0 or k.denominator % p == 0:
+                    continue
+                assert _parts_or_skip(scaled, p) == _parts_or_skip(h, p), (h, k, p)
+                cases += 1
+    assert cases == len(seeds) * (4 * len(primes) - 5)
+
+
+def _parts_or_skip(h, p):
+    try:
+        return ddf_degree_multiset(h, p).parts
+    except PrimeSkip as skip:
+        return str(skip)
 
 
 def test_split_quadratic_mod_5():
@@ -63,7 +194,7 @@ def test_parts_sum_to_degree():
 
 def test_bad_primes_are_skip_signals():
     with pytest.raises(PrimeSkip):
-        ddf_degree_multiset(UniPoly([-1, 1]) ** 2, 5)
+        ddf_degree_multiset(UniPoly([-1, 1]) * UniPoly([-1, 1]), 5)
     # denominator collision
     from fractions import Fraction
 

@@ -75,7 +75,7 @@ class TestShortVectors:
             comp = orth_complement(marked.lattice, marked.omega)
             roots = enumerate_short_vectors(comp.lattice, -2)
             assert len(roots) == expected
-            assert all(comp.lattice.norm(r) == -2 for r in roots)
+            assert all(comp.lattice.pair(r, r) == -2 for r in roots)
             assert roots == sorted(roots)
 
     def test_odd_norm_absent_on_even_lattice(self):
@@ -148,7 +148,7 @@ class TestShortVectors:
         lat = IntLattice(n, gram)
         box = range(-math.isqrt(big_n), math.isqrt(big_n) + 1)
         expected = sorted(
-            x for x in product(box, repeat=n) if any(x) and lat.norm(x) == -big_n
+            x for x in product(box, repeat=n) if any(x) and lat.pair(x, x) == -big_n
         )
         found = enumerate_short_vectors(lat, -big_n)
         assert found == expected
@@ -274,7 +274,7 @@ def _reflections_preserve_q_by_search(lat, roots):
     # the census verdict by search: reflecting in a root of class m adds m
     # to every class x with (x, m) odd, and each such x must keep q
     n = lat.rank
-    q = [(lat.norm(_lift(x, n)) // 2) & 1 for x in range(1 << n)]
+    q = [(lat.pair(v, v) // 2) & 1 for v in (_lift(x, n) for x in range(1 << n))]
     return all(
         q[x ^ m] == q[x]
         for m in {_reduce(r) for r in roots}
@@ -310,7 +310,7 @@ class TestCensus:
         r1 = roots[0]
         r2 = next(r for r in roots if lat.pair(r1, r) == 0)
         extra = tuple(a + b for a, b in zip(r1, r2))
-        assert lat.norm(extra) == -4
+        assert lat.pair(extra, extra) == -4
         check = mod2_quadratic_census(lat, roots + [extra])
         assert not check.witness["root_classes_all_q1"]
         assert not check.witness["reflections_preserve_q"]
@@ -347,10 +347,7 @@ class TestCensus:
     def test_counts_match_direct_norms(self, shape):
         n, cells = shape
         lat = IntLattice(n, _even_gram(n, cells))
-        q = [
-            (lat.norm(tuple(m >> i & 1 for i in range(n))) // 2) & 1
-            for m in range(1, 1 << n)
-        ]
+        q = [(lat.pair(v, v) // 2) & 1 for v in (_lift(m, n) for m in range(1, 1 << n))]
         rep = mod2_quadratic_census(lat, []).witness
         assert rep["nonzero_q1"] == sum(q)
         assert rep["nonzero_q0"] == len(q) - sum(q)
@@ -390,7 +387,7 @@ class TestCensus:
         def lift(mask):
             return tuple(mask >> i & 1 for i in range(n))
 
-        q = [(lat.norm(lift(m)) // 2) & 1 for m in range(1 << n)]
+        q = [(lat.pair(v, v) // 2) & 1 for v in map(lift, range(1 << n))]
         for a in range(1 << n):
             va = lift(a)
             for b in range(a, 1 << n):

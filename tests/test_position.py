@@ -183,10 +183,8 @@ class TestConic:
         seed = validate_seed(CONIC_BAD)
         check = check_six_conic(seed)
         assert not check.passed
-        # the witness factor carries the paired roots 2 and -2
-        factor = check.witness["paired_root_factor"]
-        assert factor(2) == 0 and factor(-2) == 0
-        assert factor == UniPoly([-4, 0, 1])
+        # the witness factor is (t - 2)(t + 2), from the paired roots 2 and -2
+        assert check.witness["paired_root_factor"] == UniPoly([-4, 0, 1])
 
     def test_even_polynomial_fails(self):
         seed = validate_seed([4, 0, -5, 0, 1, 0, 0, 0, 1])

@@ -59,12 +59,6 @@ def test_arithmetic_and_powers():
     assert (2 * U).coeff((1, 0, 2)) == 2
 
 
-def test_eval_exact():
-    assert U.eval(1, 1, 1) == 0
-    assert U.eval(Fraction(1, 2), 1, 2) == 1
-    assert U.eval(0, 0, 1) == 0
-
-
 def test_x_degree():
     v = TriPoly({(3, 0, 0): 1, (0, 2, 1): -1})
     assert v.x_degree == 3

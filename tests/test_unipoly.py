@@ -20,6 +20,7 @@ from delpezzo1.unipoly import (
     root_denominator,
     root_sum_poly,
 )
+from xyz_oracles import poly_value
 
 H8 = UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1])  # t^8 - t - 1
 
@@ -84,7 +85,7 @@ divisors = st.lists(coefficients, min_size=1, max_size=9).map(UniPoly).filter(bo
 
 class TestDivrem:
     def test_single_step_long_division(self):
-        q, r = UniPoly.monomial(8).divrem(H8)
+        q, r = UniPoly([0] * 8 + [1]).divrem(H8)
         assert q == UniPoly([1])
         assert r == UniPoly([1, 1])  # t + 1
 
@@ -278,7 +279,7 @@ class TestResultant:
                 continue
             expected = Fraction(lead) ** g.degree
             for r in roots:
-                expected *= g(r)
+                expected *= poly_value(g, r)
             assert f.resultant(g) == expected
 
     def test_zero_iff_gcd_nonconstant(self):
@@ -340,7 +341,7 @@ class TestDiscriminant:
             assert UniPoly([c, b, 1]).discriminant() == b * b - 4 * c
 
     def test_repeated_root(self):
-        assert (UniPoly([-1, 1]) ** 2).discriminant() == 0
+        assert (UniPoly([-1, 1]) * UniPoly([-1, 1])).discriminant() == 0
 
     def test_seed_value_is_nonsquare(self):
         from delpezzo1.linalg import frac_is_square
@@ -459,11 +460,12 @@ class TestRootSumPoly:
             rs = root_sum_poly(f, g)
             assert rs.degree == f.degree * g.degree
             for s0 in (0, 1, -2, Fraction(5, 6)):
-                shifted = UniPoly()
-                for i, c in enumerate(g.coeffs):
-                    shifted = shifted + c * (UniPoly([s0, -1]) ** i)
+                shifted, power = UniPoly(), UniPoly([1])
+                for c in g.coeffs:
+                    shifted = shifted + c * power
+                    power = power * UniPoly([s0, -1])
                 expected = f.resultant(shifted)
-                assert rs(s0) * f.lc**g.degree * g.lc**f.degree == expected
+                assert poly_value(rs, s0) * f.lc**g.degree * g.lc**f.degree == expected
 
 
 int_roots = st.lists(st.integers(-40, 40), min_size=1, max_size=8)

@@ -4,12 +4,15 @@ The library takes only x/y partials at the seed points and one x/y
 gradient minor.  These oracles take every partial in x, y and z and all
 three gradient minors, so a test can assert that both give the same
 Checks, and they impose the z-partial on the sextic system explicitly.
+The evaluation oracles give the value of a polynomial or a form at a point,
+which the library itself never needs.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
 from delpezzo1 import U_FORM, curve, validate_seed
@@ -17,8 +20,23 @@ from delpezzo1.curve import CurveBundle, SeedPoly, forms_rank
 from delpezzo1.quotient import common_factor, tri_eval_param
 from delpezzo1.serialize import Check
 from delpezzo1.tripoly import TriPoly
+from delpezzo1.unipoly import UniPoly
 
 VARS = ("x", "y", "z")
+
+
+def poly_value(f: UniPoly, value) -> Fraction:
+    """f(value) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * value + c
+    return acc
+
+
+def form_value(form: TriPoly, x, y, z) -> Fraction:
+    """form(x, y, z), term by term."""
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    return sum((c * x**i * y**j * z**k for (i, j, k), c in form.terms.items()), Fraction(0))
 
 
 def apply_ops(form: TriPoly, ops: str) -> TriPoly:
