@@ -31,13 +31,6 @@ class Check:
     witness: dict | None
 
 
-def frac_str(q: Fraction | int) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def jsonable(value):
     """JSON-ready copy of a payload.
 
@@ -51,11 +44,11 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, Fraction):
-        return frac_str(value)
+        return str(value)
     if isinstance(value, UniPoly):
-        return [frac_str(c) for c in value.coeffs]
+        return [str(c) for c in value.coeffs]
     if isinstance(value, TriPoly):
-        return [{"e": list(e), "c": frac_str(c)} for e, c in value.sorted_terms()]
+        return [{"e": list(e), "c": str(c)} for e, c in value.sorted_terms()]
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if is_dataclass(value):

@@ -9,7 +9,8 @@ iteration follows it so output is reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add, sub
+from typing import Mapping
 
 from .unipoly import UniPoly, Scalar, _frac
 
@@ -23,28 +24,29 @@ def grlex_key(e: Exponent) -> tuple[int, int, int, int]:
 
 
 class TriPoly:
-    """Immutable sparse polynomial in x, y, z over the rationals."""
+    """Immutable sparse polynomial in x, y, z over the rationals.
+
+    __init__ is the checked constructor; derived forms are wrapped by _of.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Scalar] | Iterable[tuple[Exponent, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[Exponent, Scalar] = {}):
         d: dict[Exponent, Fraction] = {}
-        for e, c in items:
-            e = (int(e[0]), int(e[1]), int(e[2]))
-            if min(e) < 0:
-                raise ValueError(f"negative exponent {e}")
+        for e, c in terms.items():
+            if not (isinstance(e, tuple) and len(e) == 3 and all(isinstance(k, int) and k >= 0 for k in e)):
+                raise ValueError(f"exponent {e!r} is not a triple of non-negative ints")
             c = _frac(c)
-            if c == 0:
-                continue
-            d[e] = d.get(e, Fraction(0)) + c
-            if d[e] == 0:
-                del d[e]
+            if c:
+                d[e] = c
         self.terms = d
 
     @classmethod
-    def constant(cls, c: Scalar) -> TriPoly:
-        return cls({(0, 0, 0): c})
+    def _of(cls, terms: dict[Exponent, Fraction]) -> TriPoly:
+        """Wrap a dict of nonzero Fraction coefficients without checking it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def monomial(cls, e: Exponent, c: Scalar = 1) -> TriPoly:
@@ -57,15 +59,11 @@ class TriPoly:
     @property
     def total_degree(self) -> int:
         """Total degree, with deg 0 = -1."""
-        if not self.terms:
-            return -1
-        return max(i + j + k for (i, j, k) in self.terms)
+        return max((i + j + k for (i, j, k) in self.terms), default=-1)
 
     @property
     def x_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i for (i, _, _) in self.terms)
+        return max((i for (i, _, _) in self.terms), default=-1)
 
     def coeff(self, e: Exponent) -> Fraction:
         return self.terms.get(tuple(e), Fraction(0))
@@ -83,71 +81,57 @@ class TriPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, TriPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == TriPoly.constant(other).terms
         return NotImplemented
-
-    __hash__ = None  # mutable dict inside; compare by value only
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __neg__(self) -> TriPoly:
-        return TriPoly({e: -c for e, c in self.terms.items()})
+        return TriPoly._of({e: -c for e, c in self.terms.items()})
 
-    def __add__(self, other) -> TriPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def _merge(self, other, op) -> TriPoly:
+        """self op other for op = add or sub, term by term."""
+        if not isinstance(other, TriPoly):
             return NotImplemented
         d = dict(self.terms)
         for e, c in other.terms.items():
-            s = d.get(e, Fraction(0)) + c
-            if s == 0:
-                d.pop(e, None)
-            else:
+            s = op(d.get(e, 0), c)
+            if s:
                 d[e] = s
-        out = TriPoly()
-        out.terms = d
-        return out
+            else:
+                del d[e]
+        return TriPoly._of(d)
 
-    __radd__ = __add__
+    def __add__(self, other) -> TriPoly:
+        return self._merge(other, add)
 
     def __sub__(self, other) -> TriPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> TriPoly:
-        return (-self) + other
+        return self._merge(other, sub)
 
     def __mul__(self, other) -> TriPoly:
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
-                return TriPoly()
-            return TriPoly({e: cc * c for e, cc in self.terms.items()})
+            if not other:
+                return TriPoly._of({})
+            return TriPoly._of({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, TriPoly):
             return NotImplemented
         d: dict[Exponent, Fraction] = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2, k1 + k2)
-                s = d.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    d.pop(e, None)
-                else:
+                s = d.get(e, 0) + c1 * c2
+                if s:
                     d[e] = s
-        out = TriPoly()
-        out.terms = d
-        return out
+                else:
+                    del d[e]
+        return TriPoly._of(d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> TriPoly:
         if n < 0:
             raise ValueError("negative power of a form")
-        result = TriPoly.constant(1)
+        result = TriPoly.monomial((0, 0, 0))
         base = self
         while n:
             if n & 1:
@@ -156,14 +140,6 @@ class TriPoly:
             if n:
                 base = base * base
         return result
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, TriPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TriPoly.constant(other)
-        return NotImplemented
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -193,9 +169,7 @@ class TriPoly:
             ne = list(e)
             ne[idx] -= 1
             d[tuple(ne)] = c * e[idx]
-        out = TriPoly()
-        out.terms = d
-        return out
+        return TriPoly._of(d)
 
     def homogenize(self, degree: int) -> TriPoly:
         """Pad a form in x, y with z powers up to the requested degree."""
@@ -205,13 +179,13 @@ class TriPoly:
             raise ValueError(
                 f"cannot homogenize degree {self.total_degree} up to {degree}"
             )
-        return TriPoly({(i, j, degree - i - j): c for (i, j, _), c in self.terms.items()})
+        return TriPoly._of({(i, j, degree - i - j): c for (i, j, _), c in self.terms.items()})
 
     def param_eval(self) -> UniPoly:
         """Substitute (x, y, z) = (t^3, t, 1) and return the result in t."""
         if not self.terms:
             return UniPoly()
-        coeffs = [Fraction(0)] * (max(3 * i + j for (i, j, _) in self.terms) + 1)
+        coeffs = [0] * (max(3 * i + j for (i, j, _) in self.terms) + 1)
         for (i, j, _), c in self.terms.items():
             coeffs[3 * i + j] += c
         return UniPoly(coeffs)

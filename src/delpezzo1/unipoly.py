@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -60,8 +61,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly([other])
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -74,30 +73,23 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __add__(self, other) -> UniPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
+        return UniPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other) -> UniPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> UniPoly:
-        return (-self) + other
+        return UniPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other) -> UniPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return UniPoly([c * other for c in self.coeffs])
+        if not isinstance(other, UniPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -106,14 +98,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([other])
-        return NotImplemented
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -14,8 +14,11 @@ deflated collinearity path):
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from delpezzo1 import validate_seed
 from delpezzo1.curve import SeedError, SeedPoly
@@ -46,6 +49,26 @@ def random_valid_seed(rng: random.Random, bound: int = 9) -> SeedPoly:
             return validate_seed(coeffs)
         except SeedError:
             continue
+
+
+@st.composite
+def seed_polys(draw):
+    """Normalized octics like the benchmark's: small, 100-bit or p/q up to 10^6."""
+    coefficient = draw(
+        st.sampled_from(
+            [
+                st.integers(-9, 9),
+                st.integers(-(2**100), 2**100),
+                st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+            ]
+        )
+    )
+    coeffs = draw(st.lists(coefficient, min_size=7, max_size=7))
+    assume(coeffs[0] != 0)
+    try:
+        return validate_seed([*coeffs, 0, 1])
+    except SeedError:
+        assume(False)
 
 
 def mp_roots(seed: SeedPoly):

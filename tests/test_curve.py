@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     COLLINEAR_BAD,
@@ -11,6 +12,7 @@ from conftest import (
     SLOW_PATH_GOOD,
     X8_COEFFS,
     random_valid_seed,
+    seed_polys,
 )
 from delpezzo1 import (
     SeedError,
@@ -484,6 +486,17 @@ class TestDichotomy:
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
             perfect_power_dichotomy(TriPoly({(1, 0, 0): 1}))
+
+    # Q's z^9 coefficient is its value at (0:0:1), where grad u = (1, 0, 0),
+    # grad v = (h_2, h_0, 0) and grad w has z-entry 6 h_0^2.  The leading
+    # exponent (8, 0, 1) is divisible by neither 3 nor 9, so every seed's
+    # model is decided "neither" before any coefficient matching.
+    @settings(max_examples=20, deadline=None)
+    @given(seed_polys())
+    def test_model_leading_term_and_ninth_point_value(self, seed):
+        q = build_bundle(seed).q_form
+        assert q.leading() == ((8, 0, 1), 6)
+        assert q.coeff((0, 0, 9)) == 6 * seed.h0**3
 
 
 def test_verify_bundle_flags_degenerate_model(seed_x8):

@@ -16,6 +16,7 @@ from conftest import (
     float_position_oracle,
     position_verdicts,
     random_valid_seed,
+    seed_polys,
 )
 from delpezzo1 import (
     U_FORM,
@@ -26,7 +27,6 @@ from delpezzo1 import (
     position_checks,
     validate_seed,
 )
-from delpezzo1.curve import SeedError
 from delpezzo1.quotient import tri_eval_param
 from xyz_oracles import check_singular_cubic_xyz, oracle_seeds
 from delpezzo1.unipoly import UniPoly, distinct_pair_sum_poly, root_sum_poly
@@ -85,26 +85,6 @@ class TestCollinear:
         assert not check.passed
         assert check.witness["path"] == "deflated"
         assert check.witness["distinct_triple_product"] == 0
-
-
-@st.composite
-def seed_polys(draw):
-    """Normalized octics like the benchmark's: small, 100-bit or p/q up to 10^6."""
-    coefficient = draw(
-        st.sampled_from(
-            [
-                st.integers(-9, 9),
-                st.integers(-(2**100), 2**100),
-                st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
-            ]
-        )
-    )
-    coeffs = draw(st.lists(coefficient, min_size=7, max_size=7))
-    assume(coeffs[0] != 0)
-    try:
-        return validate_seed([*coeffs, 0, 1])
-    except SeedError:
-        assume(False)
 
 
 class TestFastPathFactorization:

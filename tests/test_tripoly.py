@@ -1,7 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import seed_polys
+from delpezzo1.curve import amap, build_bundle
 from delpezzo1.tripoly import TriPoly
 from delpezzo1.unipoly import UniPoly
 
@@ -63,3 +68,57 @@ def test_x_degree():
     v = TriPoly({(3, 0, 0): 1, (0, 2, 1): -1})
     assert v.x_degree == 3
     assert U.x_degree == 1
+
+
+def test_bad_exponents_rejected():
+    with pytest.raises(ValueError):
+        TriPoly({(-1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        TriPoly({(1, 0): 1})
+
+
+def assert_normal(form: TriPoly):
+    """Every stored coefficient is a nonzero Fraction, never an int or a float."""
+    assert all(type(c) is Fraction and c != 0 for c in form.terms.values())
+    assert type(form.coeff((0, 0, 0))) is Fraction
+    if form:
+        assert type(form.leading()[1]) is Fraction
+
+
+class TestDerivedFormsStayNormal:
+    """Sums, differences, scalar multiples, products, partials and homogenized forms."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed_polys(), st.sampled_from([2, -1, Fraction(-3, 7)]))
+    def test_bundle_forms(self, seed, c):
+        bundle = build_bundle(seed)
+        forms = [bundle.u, bundle.v, bundle.w, bundle.q_form]
+        forms += [f.derivative(s) for f in forms for s in "xyz"]
+        forms += [amap(UniPoly([0, 1]) * seed.h).homogenize(3), amap(seed.h * seed.h).homogenize(6)]
+        for a in forms:
+            assert_normal(a)
+            assert_normal(c * a)
+            assert_normal(a * c)
+            assert (a - a).is_zero
+        for a, b in combinations(forms, 2):
+            assert_normal(a + b)
+            assert_normal(a - b)
+            assert a - b == a + (-b)
+            assert (a + b) - b == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * 3),
+            st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+            max_size=8,
+        ),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3), max_size=8),
+    )
+    def test_cancelling_terms_are_dropped(self, a_terms, b_terms):
+        # b shares a's exponents often, so sums and differences cancel terms
+        a, b = TriPoly(a_terms), TriPoly(b_terms)
+        for form in (a, b, a + b, a - b, b - a, a * b, -a):
+            assert_normal(form)
+        assert a - b == a + (-b)
+        assert (a + b) - b == a

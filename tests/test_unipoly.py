@@ -83,6 +83,22 @@ dividends = st.lists(coefficients, max_size=14).map(UniPoly)
 divisors = st.lists(coefficients, min_size=1, max_size=9).map(UniPoly).filter(bool)
 
 
+class TestArithmetic:
+    # f + r shares f's leading terms whenever r is shorter, so f - (f + r)
+    # cancels them and must trim the trailing zeros down to -r
+    @given(dividends, dividends)
+    @example(UniPoly([1, 2, 3]), UniPoly([4]))
+    @example(UniPoly([1, 2]), UniPoly([0, 0, 0, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_difference_is_sum_with_negation(self, f, r):
+        for g in (r, f + r):
+            d = f - g
+            assert d == f + (-g)
+            assert all(type(c) is Fraction for c in d.coeffs)
+            assert d.is_zero or d.lc != 0
+        assert f - (f + r) == -r
+
+
 class TestDivrem:
     def test_single_step_long_division(self):
         q, r = UniPoly([0] * 8 + [1]).divrem(H8)
