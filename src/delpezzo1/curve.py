@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from typing import Sequence
 
 from .finitefield import PrimeSkip, fp_divrem, poly_mod_p
@@ -128,15 +128,26 @@ def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, UniPoly]:
 
 
 def build_q(u: TriPoly, v: TriPoly, w: TriPoly) -> TriPoly:
-    """Jacobian determinant of (u, v, w), rows in that order."""
+    """Jacobian determinant of (u, v, w), rows in that order.
+
+    The determinant is linear in each row, so it is computed as
+    J(u, d v, e w) / (d e), with d and e the lcm of the coefficient
+    denominators of v and of w.  With u integral, as U_FORM is, every
+    product then runs on ints.
+    """
+    d = lcm(*(c.denominator for c in v.terms.values()))
+    e = lcm(*(c.denominator for c in w.terms.values()))
+    if d * e != 1:
+        v, w = v * d, w * e
     ux, uy, uz = (u.derivative(s) for s in _VARS)
     vx, vy, vz = (v.derivative(s) for s in _VARS)
     wx, wy, wz = (w.derivative(s) for s in _VARS)
-    return (
+    q = (
         ux * (vy * wz - vz * wy)
         - uy * (vx * wz - vz * wx)
         + uz * (vx * wy - vy * wx)
     )
+    return q if d * e == 1 else q * Fraction(1, d * e)
 
 
 def build_bundle(seed: SeedPoly) -> CurveBundle:

@@ -63,7 +63,7 @@ def q_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [v * inv for v in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:

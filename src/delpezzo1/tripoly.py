@@ -1,9 +1,12 @@
 """Sparse trivariate forms in x, y, z with a fixed graded-lex term order.
 
 Terms live in a dict keyed by exponent triples (i, j, k); zero
-coefficients are never stored.  The canonical order is graded
-lexicographic with x > y > z, descending, and every serialization or
-iteration follows it so output is reproducible byte for byte.
+coefficients are never stored.  A coefficient is stored as an int when
+its denominator is 1 and as a Fraction otherwise, so forms over the
+integers multiply with int arithmetic; coeff() and leading() return a
+Fraction either way.  The canonical order is graded lexicographic with
+x > y > z, descending, and every serialization or iteration follows it
+so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +22,14 @@ Exponent = tuple[int, int, int]
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
+def _integral(d: dict[Exponent, Scalar]) -> dict[Exponent, Scalar]:
+    """Store every integral Fraction value of d as an int, in place."""
+    for e, c in d.items():
+        if type(c) is Fraction and c.denominator == 1:
+            d[e] = c.numerator
+    return d
+
+
 def grlex_key(e: Exponent) -> tuple[int, int, int, int]:
     return (e[0] + e[1] + e[2], e[0], e[1], e[2])
 
@@ -26,24 +37,26 @@ def grlex_key(e: Exponent) -> tuple[int, int, int, int]:
 class TriPoly:
     """Immutable sparse polynomial in x, y, z over the rationals.
 
-    __init__ is the checked constructor; derived forms are wrapped by _of.
+    Each stored coefficient is a nonzero int, or a Fraction whose
+    denominator is not 1.  __init__ is the checked constructor; derived
+    forms are wrapped by _of.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponent, Scalar] = {}):
-        d: dict[Exponent, Fraction] = {}
+        d: dict[Exponent, Scalar] = {}
         for e, c in terms.items():
             if not (isinstance(e, tuple) and len(e) == 3 and all(isinstance(k, int) and k >= 0 for k in e)):
                 raise ValueError(f"exponent {e!r} is not a triple of non-negative ints")
             c = _frac(c)
             if c:
-                d[e] = c
+                d[e] = c.numerator if c.denominator == 1 else c
         self.terms = d
 
     @classmethod
-    def _of(cls, terms: dict[Exponent, Fraction]) -> TriPoly:
-        """Wrap a dict of nonzero Fraction coefficients without checking it."""
+    def _of(cls, terms: dict[Exponent, Scalar]) -> TriPoly:
+        """Wrap a dict of nonzero, normalized coefficients without checking it."""
         out = object.__new__(cls)
         out.terms = terms
         return out
@@ -66,9 +79,9 @@ class TriPoly:
         return max((i for (i, _, _) in self.terms), default=-1)
 
     def coeff(self, e: Exponent) -> Fraction:
-        return self.terms.get(tuple(e), Fraction(0))
+        return _frac(self.terms.get(tuple(e), 0))
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in descending graded-lex order, leading term first."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
@@ -76,7 +89,7 @@ class TriPoly:
         if not self.terms:
             raise ValueError("zero form has no leading term")
         e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        return e, _frac(self.terms[e])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TriPoly):
@@ -96,6 +109,8 @@ class TriPoly:
         d = dict(self.terms)
         for e, c in other.terms.items():
             s = op(d.get(e, 0), c)
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 d[e] = s
             else:
@@ -112,10 +127,10 @@ class TriPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return TriPoly._of({})
-            return TriPoly._of({e: c * other for e, c in self.terms.items()})
+            return TriPoly._of(_integral({e: c * other for e, c in self.terms.items()}))
         if not isinstance(other, TriPoly):
             return NotImplemented
-        d: dict[Exponent, Fraction] = {}
+        d: dict[Exponent, Scalar] = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2, k1 + k2)
@@ -124,7 +139,7 @@ class TriPoly:
                     d[e] = s
                 else:
                     del d[e]
-        return TriPoly._of(d)
+        return TriPoly._of(_integral(d))
 
     __rmul__ = __mul__
 
@@ -162,14 +177,14 @@ class TriPoly:
 
     def derivative(self, var: str) -> TriPoly:
         idx = _VAR_INDEX[var]
-        d: dict[Exponent, Fraction] = {}
+        d: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             if e[idx] == 0:
                 continue
             ne = list(e)
             ne[idx] -= 1
             d[tuple(ne)] = c * e[idx]
-        return TriPoly._of(d)
+        return TriPoly._of(_integral(d))
 
     def homogenize(self, degree: int) -> TriPoly:
         """Pad a form in x, y with z powers up to the requested degree."""

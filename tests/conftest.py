@@ -52,17 +52,14 @@ def random_valid_seed(rng: random.Random, bound: int = 9) -> SeedPoly:
 
 
 @st.composite
-def seed_polys(draw):
+def seed_polys(draw, kinds=("small", "int100", "fraction")):
     """Normalized octics like the benchmark's: small, 100-bit or p/q up to 10^6."""
-    coefficient = draw(
-        st.sampled_from(
-            [
-                st.integers(-9, 9),
-                st.integers(-(2**100), 2**100),
-                st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
-            ]
-        )
-    )
+    strategies = {
+        "small": st.integers(-9, 9),
+        "int100": st.integers(-(2**100), 2**100),
+        "fraction": st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    }
+    coefficient = draw(st.sampled_from([strategies[k] for k in kinds]))
     coeffs = draw(st.lists(coefficient, min_size=7, max_size=7))
     assume(coeffs[0] != 0)
     try:

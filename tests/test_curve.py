@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     COLLINEAR_BAD,
@@ -37,7 +38,14 @@ from delpezzo1.curve import _nth_root_form, forms_rank
 from delpezzo1.finitefield import fp_divrem, poly_mod_p
 from delpezzo1.quotient import qr_reduce, tri_eval_param
 from delpezzo1.serialize import Check
-from xyz_oracles import apply_ops, form_value, multiplicity_report_xyz, oracle_seeds, sextic_space_exact
+from xyz_oracles import (
+    apply_ops,
+    form_value,
+    jacobian,
+    multiplicity_report_xyz,
+    oracle_seeds,
+    sextic_space_exact,
+)
 
 
 class TestValidateSeed:
@@ -190,6 +198,25 @@ class TestWorkedPipeline:
     def test_full_verification_passes(self, seed_x8):
         checks = verify_bundle(build_bundle(seed_x8))
         assert [c.name for c in checks if not c.passed] == []
+
+
+class TestBuildQ:
+    """build_q clears denominators before expanding; the Jacobian oracle does not."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed_polys(kinds=("fraction",)))
+    def test_equals_the_unscaled_jacobian_on_fraction_seeds(self, seed):
+        assume(any(c.denominator != 1 for c in seed.h.coeffs))
+        v, w = build_v(seed), build_w(seed)[0]
+        assert build_q(U_FORM, v, w) == jacobian(U_FORM, v, w)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed_polys(), st.sampled_from([2, Fraction(-1, 3), 2**100 + 277]))
+    def test_linear_in_each_row(self, seed, c):
+        v, w = build_v(seed), build_w(seed)[0]
+        scaled = c * jacobian(U_FORM, v, w)
+        assert build_q(U_FORM, c * v, w) == scaled
+        assert build_q(U_FORM, v, c * w) == scaled
 
 
 class TestSeedInvariants:

@@ -14,6 +14,7 @@ from delpezzo1.linalg import (
     int_is_square,
     q_kernel_basis,
     q_rank,
+    q_rref,
 )
 
 
@@ -47,6 +48,16 @@ def test_q_kernel_basis():
         (Fraction(0), Fraction(0), Fraction(1)),
     ]
     assert q_rank(rows) == 1
+
+
+def test_int_rows_give_no_float():
+    # an int pivot meeting / alone would give a float
+    rows = [[2, 1, 0], [4, 3, 1], [6, 4, 1]]
+    rref, pivots = q_rref(rows)
+    basis = q_kernel_basis([[2, 1, 0]], 3)
+    assert pivots == [0, 1] and q_rank(rows) == 2
+    assert basis == [(Fraction(-1, 2), 1, 0), (0, 0, 1)]
+    assert all(type(x) in (int, Fraction) for x in [*sum(rref, []), *sum(basis, ())])
 
 
 def test_int_functional_kernel():

@@ -78,8 +78,10 @@ def test_bad_exponents_rejected():
 
 
 def assert_normal(form: TriPoly):
-    """Every stored coefficient is a nonzero Fraction, never an int or a float."""
-    assert all(type(c) is Fraction and c != 0 for c in form.terms.values())
+    """Every stored coefficient is a nonzero int or Fraction, never a float, and an int when integral."""
+    for c in form.terms.values():
+        assert type(c) in (int, Fraction) and c != 0
+        assert (type(c) is int) == (c.denominator == 1)
     assert type(form.coeff((0, 0, 0))) is Fraction
     if form:
         assert type(form.leading()[1]) is Fraction

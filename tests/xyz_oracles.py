@@ -5,7 +5,8 @@ gradient minor.  These oracles take every partial in x, y and z and all
 three gradient minors, so a test can assert that both give the same
 Checks, and they impose the z-partial on the sextic system explicitly.
 The evaluation oracles give the value of a polynomial or a form at a point,
-which the library itself never needs.
+which the library itself never needs.  The Jacobian oracle expands the
+determinant on the forms as given, without clearing denominators first.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def form_value(form: TriPoly, x, y, z) -> Fraction:
     """form(x, y, z), term by term."""
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     return sum((c * x**i * y**j * z**k for (i, j, k), c in form.terms.items()), Fraction(0))
+
+
+def jacobian(u: TriPoly, v: TriPoly, w: TriPoly) -> TriPoly:
+    """Jacobian determinant of (u, v, w) by cofactor expansion along the first row."""
+    (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = ([f.derivative(s) for s in VARS] for f in (u, v, w))
+    return ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx) + uz * (vx * wy - vy * wx)
 
 
 def apply_ops(form: TriPoly, ops: str) -> TriPoly:
