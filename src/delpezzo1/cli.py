@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: construct, verify, position, galois, lattice.  Each one is an
-entry of SUBCOMMANDS that returns its ordered checks plus any extra
-blocks; one assembler turns them into the report.  Exit codes: 0 every
-requested check passed, 1 a mathematical check failed (the report carries
-a witness), 2 invalid input, 3 an I/O or internal error.
+Each subcommand is one entry of SUBCOMMANDS: the parser is built from the
+table, and the entry's build returns its ordered checks plus any extra
+blocks, which one assembler turns into the report.  Every input rule is
+checked before any computation, by argparse or by validate_seed.  Exit
+codes: 0 every requested check passed, 1 a mathematical check failed (the
+report carries a witness), 2 invalid input (an argparse error or a
+SeedError), 3 any other failure, I/O included, in one stderr line.
 """
 
 from __future__ import annotations
@@ -106,22 +108,23 @@ def _lattice(seed: None, args) -> tuple[list[Check], dict]:
     return checks, {}
 
 
-# name -> (build, nested).  build(seed, args) returns the ordered checks and
-# any extra top-level blocks.  With nested, the witnesses block maps each
-# check's name to its witness; otherwise the witness fields of all checks
-# are merged into one block.  A witness of None is left out either way.
+# name -> (build, nested, help, flags).  build(seed, args) returns the
+# ordered checks and any extra top-level blocks.  With nested, the witnesses
+# block maps each check's name to its witness; otherwise the witness fields
+# of all checks are merged into one (a witness of None is left out either
+# way).  flags come before --format and --output; --poly means a seed.
 SUBCOMMANDS = {
-    "construct": (_construct, False),
-    "verify": (_verify, True),
-    "position": (_position, True),
-    "galois": (_galois, False),
-    "lattice": (_lattice, False),
+    "construct": (_construct, False, "emit the forms u, v, w, Q", ("--poly",)),
+    "verify": (_verify, True, "full verification report", ("--poly", "--prime-bound")),
+    "position": (_position, True, "general-position checks only", ("--poly",)),
+    "galois": (_galois, False, "Galois-group certificate only", ("--poly", "--prime-bound")),
+    "lattice": (_lattice, False, "lattice and mod-2 checks", ("--d",)),
 }
 
 
 def build_report(args) -> tuple[dict, bool]:
     """The report payload of a parsed command line, and whether every check passed."""
-    build, nested = SUBCOMMANDS[args.command]
+    build, nested, _, _ = SUBCOMMANDS[args.command]
     seed = validate_seed(args.poly.split(",")) if "poly" in args else None
     checks, blocks = build(seed, args)
     witnesses: dict = {}
@@ -142,6 +145,17 @@ def build_report(args) -> tuple[dict, bool]:
     return payload, all(check.passed for check in checks)
 
 
+def _prime_bound(text: str) -> int:
+    """The --prime-bound value: an integer of at least 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused after."""
@@ -152,41 +166,21 @@ def build_parser() -> argparse.ArgumentParser:
             "octic seed and machine-check the finite facts about it."
         ),
     )
+    flags = {
+        "--poly": {
+            "required": True,
+            "help": "9 comma-separated rational coefficients, ascending (constant first)",
+        },
+        "--prime-bound": {"type": _prime_bound, "default": 500},
+        "--d": {"type": int, "default": 1, "choices": (1, 2)},
+        "--format": {"choices": ("json", "text"), "default": "json"},
+        "--output": {"default": None, "help": "write the report here instead of stdout"},
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_seed(p):
-        p.add_argument(
-            "--poly",
-            required=True,
-            help="9 comma-separated rational coefficients, ascending (constant first)",
-        )
-
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("construct", help="emit the forms u, v, w, Q")
-    add_seed(p)
-    add_common(p)
-
-    p = sub.add_parser("verify", help="full verification report")
-    add_seed(p)
-    p.add_argument("--prime-bound", type=int, default=500)
-    add_common(p)
-
-    p = sub.add_parser("position", help="general-position checks only")
-    add_seed(p)
-    add_common(p)
-
-    p = sub.add_parser("galois", help="Galois-group certificate only")
-    add_seed(p)
-    p.add_argument("--prime-bound", type=int, default=500)
-    add_common(p)
-
-    p = sub.add_parser("lattice", help="lattice and mod-2 checks")
-    p.add_argument("--d", type=int, default=1, choices=(1, 2))
-    add_common(p)
-
+    for name, (_, _, help_line, own) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in (*own, "--format", "--output"):
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -209,36 +203,28 @@ def _merge_poly_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_merge_poly_flag(list(argv)))
+        args = build_parser().parse_args(_merge_poly_flag(argv))
     except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+        return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
 
     try:
         payload, ok = build_report(args)
         rendered = to_canonical_json(payload) if args.format == "json" else to_text(payload)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
     except SeedError as exc:
         sys.stderr.write(f"invalid seed [{exc.code}]: {exc}\n")
         return EXIT_BAD_INPUT
-    except ValueError as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_BAD_INPUT
-    except ArithmeticError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:  # every other failure is an internal or I/O error
+        message = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"error: {type(exc).__name__}: {message}\n")
         return EXIT_ERROR
-
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            sys.stderr.write(f"cannot write the report: {exc}\n")
-            return EXIT_ERROR
-    else:
-        sys.stdout.write(rendered)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -35,6 +35,7 @@ from .unipoly import CERT_PRIME, Scalar, UniPoly
 U_FORM = TriPoly({(1, 0, 2): 1, (0, 3, 0): -1})
 
 _VARS = ("x", "y", "z")
+MAX_SEED_HEIGHT = 104  # bits; see validate_seed
 
 
 class SeedError(ValueError):
@@ -61,6 +62,15 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
 
     Irreducibility is deliberately not required here; it is certified
     separately (and only one-sidedly) by the Galois machinery.
+
+    A seed higher than MAX_SEED_HEIGHT bits is rejected ("too-tall"): its
+    widest witness, the fast-path triple_product, grows by about 131 bits
+    per bit of height and would pass Python's 4300-digit limit on
+    int-to-string conversion.  The height is the largest difference of
+    numerator and denominator bit lengths among the coefficients, plus
+    (2 * the largest denominator's + 3 * the lcm's bit length) // 5: the
+    largest bit length for an integer seed.  |c| <= 2^100, or p/q with
+    |p|, q <= 10^6, keeps it at most 101.
     """
     try:
         h = UniPoly(coeffs)
@@ -76,6 +86,11 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
         raise SeedError("t7-term", f"t^7 coefficient {h.coeff(7)}, expected 0")
     if h.coeff(0) == 0:
         raise SeedError("zero-constant", "constant term vanishes")
+    dens = [c.denominator for c in h.coeffs]
+    height = max(abs(c.numerator).bit_length() - c.denominator.bit_length() for c in h.coeffs)
+    height += (2 * max(dens).bit_length() + 3 * lcm(*dens).bit_length()) // 5
+    if height > MAX_SEED_HEIGHT:
+        raise SeedError("too-tall", f"height {height} bits, at most {MAX_SEED_HEIGHT}")
     if h.gcd(h.derivative()).degree != 0:
         raise SeedError("not-squarefree", "gcd(h, h') is nonconstant")
     return SeedPoly(h)

@@ -82,10 +82,6 @@ def q_kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fractio
     One basis vector per free column, with a 1 in that column; ordered by
     ascending free column index.
     """
-    if not rows:
-        return [
-            tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)
-        ]
     rref, pivots = q_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -99,7 +95,7 @@ def q_kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fractio
 
 
 def q_rank(rows: list[list[Fraction]]) -> int:
-    return len(q_rref(rows)[1]) if rows else 0
+    return len(q_rref(rows)[1])
 
 
 def int_functional_kernel(w: list[int]) -> list[list[int]]:

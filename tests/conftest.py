@@ -33,6 +33,14 @@ DISTINCT_TRIPLE_BAD = [-1965600, -1647480, -268852, 64734, 16371, -534, -240, 0,
 # the fractional seed the benchmark's verify workload always includes
 FIXED_FRACTION_COEFFS = ["1/6", "-5/12", "7/10", "3/4", "-3/5", "1/15", "2/3", "0", "1"]
 
+# Seeds at validate_seed's height cap of 104 bits, and one bit over it: an
+# integer seed, and five coprime denominators near 2^30 (of the p/q shapes
+# tried, the one whose witnesses grow fastest per bit of height).
+INT_AT_CAP = [-(2**103 + 1), 2**103 + 3, -(2**103 + 5), 2**103 + 7, -(2**103 + 9), 2**103 + 11, -(2**103 + 13), 0, 1]
+INT_OVER_CAP = [-(2**104 + 1), *INT_AT_CAP[1:]]
+FRACTION_AT_CAP = ["1/2147483654", "1/1073741831", "-1/1073741839", "1/1073741843", "-1/1073741851", "1", "-1", "0", "1"]
+FRACTION_OVER_CAP = ["1/4294967308", *FRACTION_AT_CAP[1:]]
+
 
 @pytest.fixture
 def seed_x8() -> SeedPoly:

@@ -3,13 +3,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import COLLINEAR_BAD, X8_COEFFS
+from conftest import COLLINEAR_BAD, FRACTION_AT_CAP, INT_AT_CAP, X8_COEFFS
 import delpezzo1
-from delpezzo1 import curve, linalg
+from delpezzo1 import cli, curve, linalg
 from delpezzo1.cli import main
 
 X8_POLY = ",".join(str(c) for c in X8_COEFFS)
@@ -120,6 +121,92 @@ def test_exit_codes(tmp_path):
     assert unwritable.returncode == 3
     assert unwritable.stdout == ""
     assert len(unwritable.stderr.splitlines()) == 1
+
+
+def _never_called(*args):
+    raise AssertionError("no computation may start")
+
+
+def test_tall_seeds_rejected_before_any_work(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_bundle", _never_called)
+    for top in ("1e70", "1e400", "1e4000"):
+        start = time.perf_counter()
+        code = main(["verify", "--poly", f"{top},1,0,0,0,0,0,0,1"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid seed [too-tall]: height ")
+        assert len(err.splitlines()) == 1
+        assert elapsed < 1
+
+
+@pytest.mark.parametrize("coeffs", [INT_AT_CAP, FRACTION_AT_CAP], ids=["int", "fraction"])
+def test_seeds_at_the_height_cap_render(coeffs, capsys):
+    poly = ",".join(map(str, coeffs))
+    for fmt in ("json", "text"):
+        code = main(["verify", "--poly", poly, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code in (0, 1)
+        assert err == ""
+        assert "checks" in out
+
+
+class _FullStream:
+    """A stdout on a full disk: a buffered write fails at the latest in flush."""
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise OSError(28, "No space left on device")
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["write", "flush"])
+def test_failed_stdout_write_exits_3(buffered, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStream(buffered))
+    code = main(["lattice", "--d", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert "No space left on device" in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_stdout_on_a_full_device_exits_3():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "delpezzo1.cli", "verify", "--poly", X8_POLY],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("error", [ValueError("two\nlines"), TypeError("no such operand")])
+def test_internal_exception_exits_3(error, monkeypatch, capsys):
+    def broken(seed, prime_bound):
+        raise error
+
+    monkeypatch.setattr(cli, "certify_galois", broken)
+    code = main(["galois", "--poly", X8_POLY])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert type(error).__name__ in err
+
+
+@pytest.mark.parametrize("bound", ["1", "0", "-5"])
+def test_prime_bound_below_2_is_an_argparse_error(bound, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "certify_galois", _never_called)
+    assert main(["galois", "--poly", X8_POLY, "--prime-bound", bound]) == 2
+    assert "argument --prime-bound: expected an integer of at least 2" in capsys.readouterr().err
 
 
 def test_galois_subcommand(capsys):

@@ -10,6 +10,10 @@ from conftest import (
     COLLINEAR_BAD,
     CONIC_BAD,
     FIXED_FRACTION_COEFFS,
+    FRACTION_AT_CAP,
+    FRACTION_OVER_CAP,
+    INT_AT_CAP,
+    INT_OVER_CAP,
     SLOW_PATH_GOOD,
     X8_COEFFS,
     random_valid_seed,
@@ -90,6 +94,52 @@ class TestValidateSeed:
             [Fraction(1, 3), Fraction(-1, 2), 0, 0, 0, 0, 0, 0, 1]
         )
         assert seed.h.coeff(0) == Fraction(1, 3)
+
+    def test_height_cap(self):
+        validate_seed(INT_AT_CAP)
+        validate_seed(FRACTION_AT_CAP)
+        for coeffs in (INT_OVER_CAP, FRACTION_OVER_CAP):
+            with pytest.raises(SeedError) as info:
+                validate_seed(coeffs)
+            assert info.value.code == "too-tall"
+            assert str(info.value) == "height 105 bits, at most 104"
+
+    # the benchmark's and the tests' seed ranges: |c| <= 2^100, or p/q with
+    # |p|, q <= 10^6; the largest numerators over the largest coprime
+    # denominators give the largest lcm
+    PRIMES_BELOW_10_6 = (999983, 999979, 999961, 999959, 999953, 999931, 999917)
+
+    @pytest.mark.parametrize(
+        "low",
+        [
+            [2**100] * 7,
+            [-(2**100)] * 7,
+            [Fraction(-(10**6), q) for q in PRIMES_BELOW_10_6],
+            [10**6, *(Fraction(10**6, q) for q in PRIMES_BELOW_10_6[:6])],
+        ],
+    )
+    def test_extreme_benchmark_seeds_fit_under_the_cap(self, low):
+        try:
+            validate_seed([*low, 0, 1])
+        except SeedError as exc:
+            assert exc.code != "too-tall"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-(2**100), 2**100), min_size=7, max_size=7),
+            st.lists(
+                st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+                min_size=7,
+                max_size=7,
+            ),
+        )
+    )
+    def test_benchmark_seed_ranges_fit_under_the_cap(self, low):
+        try:
+            validate_seed([*low, 0, 1])
+        except SeedError as exc:
+            assert exc.code != "too-tall"
 
 
 class TestAmap:

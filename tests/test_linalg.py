@@ -48,6 +48,10 @@ def test_q_kernel_basis():
         (Fraction(0), Fraction(0), Fraction(1)),
     ]
     assert q_rank(rows) == 1
+    # no rows: the whole space, and rank 0
+    assert q_kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert all(type(x) is Fraction for x in sum(q_kernel_basis([], 3), ()))
+    assert q_rank([]) == 0
 
 
 def test_int_rows_give_no_float():
