@@ -35,6 +35,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_ERROR = 3
 
+# The ceiling bounds the work and the report on a seed the Galois sampler
+# cannot certify, which samples every prime up to the bound: 1229 of them.
+MAX_PRIME_BOUND = 10_000
+
 
 def _forms(bundle) -> dict:
     return {"u": bundle.u, "v": bundle.v, "w": bundle.w, "Q": bundle.q_form}
@@ -146,20 +150,29 @@ def build_report(args) -> tuple[dict, bool]:
 
 
 def _prime_bound(text: str) -> int:
-    """The --prime-bound value: an integer of at least 2."""
+    """The --prime-bound value: an integer from 2 to MAX_PRIME_BOUND."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    if not 2 <= value <= MAX_PRIME_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 2 and at most {MAX_PRIME_BOUND}, got {text!r}"
+        )
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one stderr line, like every other failure."""
+
+    def error(self, message: str):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delpezzo1",
         description=(
             "Construct the degree-9 plane branch-curve model of a normalized "

@@ -19,17 +19,17 @@ could have.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import lcm
 from typing import Sequence
 
-from .finitefield import PrimeSkip, fp_divrem, poly_mod_p
-from .linalg import fp_rank, q_kernel_basis, q_rank
+from .linalg import q_kernel_basis, q_rank
 from .quotient import common_factor, qr_reduce, tri_eval_param
 from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
-from .unipoly import CERT_PRIME, Scalar, UniPoly
+from .unipoly import Scalar, UniPoly
 
 # The cuspidal cubic through every seed point, fixed once and for all.
 U_FORM = TriPoly({(1, 0, 2): 1, (0, 3, 0): -1})
@@ -70,10 +70,13 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
     numerator and denominator bit lengths among the coefficients, plus
     (2 * the largest denominator's + 3 * the lcm's bit length) // 5: the
     largest bit length for an integer seed.  |c| <= 2^100, or p/q with
-    |p|, q <= 10^6, keeps it at most 101.
+    |p|, q <= 10^6, keeps it at most 101.  A decimal exponent is checked
+    before Fraction expands it (_decimal_exponent_checked).
     """
     try:
-        h = UniPoly(coeffs)
+        h = UniPoly(map(_decimal_exponent_checked, coeffs))
+    except SeedError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise SeedError("unparseable", f"bad coefficient: {exc}") from exc
     if len(coeffs) != 9:
@@ -94,6 +97,26 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
     if h.gcd(h.derivative()).degree != 0:
         raise SeedError("not-squarefree", "gcd(h, h') is nonconstant")
     return SeedPoly(h)
+
+
+def _decimal_exponent_checked(c: Scalar | str) -> Scalar | str:
+    """c, unless it is a decimal string m e k with |k| > len(c) + 32.
+
+    Such a c is 0 if m is, and too tall otherwise: the digits of m cancel at
+    most len(c) powers of 10, which leaves a numerator or a denominator above
+    10^32 > 2^106, while an accepted c is a ratio of ints below 2^104.  Blanks
+    around c are not counted in len(c).
+    """
+    k = isinstance(c, str) and ("e" in c or "E" in c) and re.search(r"[eE]([-+]?\d+(_\d+)*)\s*\Z", c)
+    if not k or abs(int(k[1])) <= len(c.strip()) + 32:
+        return c
+    try:
+        mantissa = Fraction(c[: k.start()] + "e0")
+    except ValueError:
+        return c  # Fraction(c) rejects the same text before it reads k
+    if mantissa:
+        raise SeedError("too-tall", f"height over {MAX_SEED_HEIGHT} bits: decimal exponent {k[1]}")
+    return 0
 
 
 def amap(g: UniPoly) -> TriPoly:
@@ -205,39 +228,16 @@ def _xy_partials(form: TriPoly, order: int) -> list[TriPoly]:
     return list(partials.values())
 
 
-def _constraint_rows(powers: Sequence[Sequence], degree: int, ops: Sequence[str]) -> list[list]:
-    """One block of rows per op, from powers[n] = the coefficients of t^n mod h.
-
-    Column e of block op is op(monomial e) at (t^3, t, 1) mod h, in closed
-    form: an op with a x's, b y's and c z's takes x^i y^j z^k to
-    perm(i, a) perm(j, b) perm(k, c) t^n with n = 3(i - a) + (j - b).
-    The table may hold rationals or residues mod p.
-    """
-    mons = _monomials(degree)
-    height = max(map(len, powers))  # deg h: t^(deg h - 1) is its own remainder
-    rows = []
-    for op in ops:
-        a, b, c = (op.count(s) for s in _VARS)
-        block = [[0] * len(mons) for _ in range(height)]
-        for col, (i, j, k) in enumerate(mons):
-            coeff = perm(i, a) * perm(j, b) * perm(k, c)
-            if coeff:
-                for d, r in enumerate(powers[3 * (i - a) + (j - b)]):
-                    block[d][col] = coeff * r
-        rows.extend(block)
-    return rows
-
-
-def _space_through_points(seed: SeedPoly, degree: int, ops: Sequence[str]) -> list[TriPoly]:
-    mons = _monomials(degree)
-    powers = [qr_reduce(UniPoly([0] * n + [1]), seed.h).coeffs for n in range(3 * degree + 1)]
-    kernel = q_kernel_basis(_constraint_rows(powers, degree, ops), len(mons))
-    return [TriPoly(dict(zip(mons, vec))) for vec in kernel]
-
-
 def cubic_space(seed: SeedPoly) -> list[TriPoly]:
-    """Basis of cubic forms vanishing at all eight seed points."""
-    return _space_through_points(seed, 3, [""])
+    """Basis of cubic forms vanishing at all eight seed points.
+
+    Row d, column e of the 8 x 10 system is the t^d coefficient of
+    monomial e at (t^3, t, 1) mod h: x^i y^j z^k goes to t^(3i+j).
+    """
+    mons = _monomials(3)
+    cols = [qr_reduce(UniPoly([0] * (3 * i + j) + [1]), seed.h).coeffs for i, j, _ in mons]
+    rows = [[col[d] if d < len(col) else 0 for col in cols] for d in range(seed.h.degree)]
+    return [TriPoly(dict(zip(mons, vec))) for vec in q_kernel_basis(rows, len(mons))]
 
 
 def _vanishes_doubly(form: TriPoly, h: UniPoly) -> bool:
@@ -248,40 +248,43 @@ def _vanishes_doubly(form: TriPoly, h: UniPoly) -> bool:
 def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
     """Check that u^2, uv, v^2, w are a basis of the doubly-vanishing sextics.
 
-    The system imposes the value, x- and y-partial at the points (Euler
-    gives the z-partial): 24 conditions on 28 monomials.  The witness is
-    its dimension.  When CERT_PRIME divides no denominator of h, the same
-    _constraint_rows run on t^n mod (h mod p) give the matrix mod p, and
-    F_p rank 24 bounds the dimension by 4.  The basis then follows by
-    proof: u and v vanish at the points, so u^2, uv, v^2 vanish doubly
-    (product rule); w is checked to; u and v are independent, so u^2, uv,
-    v^2 are; and u, v vanish at (0:0:1) while w does not (a form of degree
-    d takes its z^d coefficient there).  If any premise fails the exact
-    kernel over Q is computed, and the forms are a basis iff they are four
-    independent forms in its span.
+    The system has dimension 4 for every SeedPoly, by restriction to the
+    cuspidal cubic.  It uses validate_seed's invariants: h is monic of degree
+    8 with no t^7 term, h(0) != 0 and h is squarefree, so the points are g(a)
+    for g(t) = (t^3, t, 1) at eight distinct roots a.  Divide a form F of
+    degree d by U_FORM in y: F = U_FORM G + R with R free of y^3.  As
+    x^i y^j z^k goes to t^(3i+j), R -> R(g) is injective onto the polynomials
+    of degree <= 3d without t^(3d-1), and F(0:0:1) = R(0:0:1) = R(g)(0).  At
+    g(a) the cubic is smooth and grad F = G grad U_FORM + grad R; given
+    R(g(a)) = 0 both gradients are orthogonal to g(a) (Euler), and grad U_FORM
+    also to g'(a), independent of g(a).  So F is singular there iff R(g) has a
+    double root at a and G(g(a)) takes one value fixed by R.  Cubics through
+    the points: R(g) = h (s0 + s1 t), whose t^8 coefficient s0 + s1 h_7 = s0
+    is 0, so U_FORM and A(t h) span them, both 0 at (0:0:1); being 2 of 10
+    dimensions, they let the cubics take any values at the points.  Singular
+    sextics: R(g) = h^2 (s0 + s1 t + s2 t^2), whose t^17 coefficient
+    s1 + 2 h_7 s2 = s1 is 0, and for each R the G are a 2-dimensional affine
+    family: dimension 2 + 2 = 4, and the forms 0 at (0:0:1) are s0 = 0.
+
+    So only the premises are computed.  u, v vanish at the points, so u^2,
+    uv, v^2 vanish doubly (product rule), and w is checked to; u, v are
+    independent, so u^2, uv, v^2 are (a relation factors into linear ones);
+    u, v vanish at (0:0:1) and w does not (a form of degree d takes its z^d
+    coefficient there), so w is off their span.  Conversely in a basis u^2,
+    v^2 vanish at the points, so u, v do, independent and so 0 at (0:0:1),
+    and w is off the hyperplane s0 = 0 their squares span: a failed premise
+    is the exact kernel's verdict too, with the same dimension.
     """
-    h, p = seed.h, CERT_PRIME
-    try:
-        hp = poly_mod_p(h, p)
-    except PrimeSkip:
-        rows = []
-    else:
-        powers = [fp_divrem([0] * n + [1], hp, p)[1] for n in range(3 * 6 + 1)]
-        rows = _constraint_rows(powers, 6, _xy_ops(1))
-    if (
-        fp_rank(rows, p) == 24
-        and tri_eval_param(u, h).is_zero
+    h = seed.h
+    basis = (
+        tri_eval_param(u, h).is_zero
         and tri_eval_param(v, h).is_zero
         and _vanishes_doubly(w, h)
         and forms_rank([u, v], 3) == 2
         and u.coeff((0, 0, 3)) == v.coeff((0, 0, 3)) == 0
         and w.coeff((0, 0, 6)) != 0
-    ):
-        return Check("sextic_space_dimension", True, {"dimension": 4})
-    kernel = _space_through_points(seed, 6, _xy_ops(1))
-    forms = [u * u, u * v, v * v, w]
-    basis = len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4
-    return Check("sextic_space_dimension", basis, {"dimension": len(kernel)})
+    )
+    return Check("sextic_space_dimension", basis, {"dimension": 4})
 
 
 def forms_rank(forms: list[TriPoly], degree: int) -> int:

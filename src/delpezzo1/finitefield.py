@@ -8,7 +8,8 @@ deliberately left out: at stage d the factor count is deg/d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from math import isqrt
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .unipoly import UniPoly
@@ -149,12 +150,10 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
     return ct
 
 
-def iter_primes() -> Iterator[int]:
-    """2, 3, 5, ... by trial division against the primes found so far."""
-    found: list[int] = []
-    n = 2
-    while True:
-        if all(n % q for q in found if q * q <= n):
-            found.append(n)
-            yield n
-        n += 1
+def primes_up_to(bound: int) -> list[int]:
+    """The primes p <= bound, ascending, by the sieve of Eratosthenes (bound >= 0)."""
+    sieve = bytearray([1]) * (bound + 1)
+    for n in range(2, isqrt(bound) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(sieve[n * n::n]))
+    return [n for n in range(2, bound + 1) if sieve[n]]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import SeedPoly
-from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset, iter_primes
+from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset, primes_up_to
 from .linalg import frac_is_square
 
 S8_CERTIFIED = "S8-certified"
@@ -57,9 +57,7 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
     transitivity: int | None = None
     five_cycle: int | None = None
     sampled: list[CycleType] = []
-    for p in iter_primes():
-        if p > prime_bound:
-            break
+    for p in primes_up_to(prime_bound):
         try:
             ct = ddf_degree_multiset(h, p)
         except PrimeSkip:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q, Z, F_p and F2, plus integer square testing.
+"""Exact linear algebra over Q, Z and F2, plus integer square testing.
 
 Small and deterministic by construction: pivoting rules are fixed, so
 repeated runs produce identical bases.
@@ -121,26 +121,7 @@ def int_functional_kernel(w: list[int]) -> list[list[int]]:
     return [cols[i] for i in range(n) if i != pivot]
 
 
-# -- finite fields: F_p rows of integers, F2 vectors as bit masks -----
-
-
-def fp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix, its entries read mod the prime p."""
-    m = [[v % p for v in row] for row in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        top = [v * inv % p for v in m[rank]]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], top)]
-        rank += 1
-    return rank
+# -- F2 vectors as bit masks -----------------------------------------
 
 
 def f2_rank(vectors: list[int]) -> int:

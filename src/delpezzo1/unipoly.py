@@ -19,9 +19,8 @@ from .linalg import bareiss_det
 
 Scalar = int | Fraction
 
-# The prime of the one-sided mod-p certificates (gcd coprimality here, the
-# sextic rank in curve): large, so that a spurious common root or a rank
-# drop modulo it is rare.
+# The prime of the one-sided mod-p gcd coprimality certificate: large, so
+# that a spurious common root modulo it is rare.
 CERT_PRIME = 2**31 - 1
 
 

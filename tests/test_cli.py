@@ -101,8 +101,10 @@ def test_exit_codes(tmp_path):
     assert payload["checks"]["no_three_collinear"] is False
     witness = payload["witnesses"]["no_three_collinear"]
     assert witness["distinct_triple_product"] == "0"
-    # unknown command: argparse error
-    assert run_cli(["frobnicate"]).returncode == 2
+    # unknown command: argparse error, in one stderr line
+    unknown = run_cli(["frobnicate"])
+    assert unknown.returncode == 2
+    assert len(unknown.stderr.splitlines()) == 1
     # malformed coefficient string
     malformed = run_cli(["construct", "--poly", "a,b,c"])
     assert malformed.returncode == 2
@@ -207,6 +209,28 @@ def test_prime_bound_below_2_is_an_argparse_error(bound, monkeypatch, capsys):
     monkeypatch.setattr(cli, "certify_galois", _never_called)
     assert main(["galois", "--poly", X8_POLY, "--prime-bound", bound]) == 2
     assert "argument --prime-bound: expected an integer of at least 2" in capsys.readouterr().err
+
+
+def test_prime_bound_above_10000_is_an_argparse_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "certify_galois", _never_called)
+    assert main(["galois", "--poly", X8_POLY, "--prime-bound", "10001"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "delpezzo1 galois: error: argument --prime-bound: "
+        "expected an integer of at least 2 and at most 10000, got '10001'"
+    ]
+
+
+def test_largest_prime_bound_stays_cheap(capsys):
+    # the sampler cannot certify x^8 + 1, so it samples all 1229 primes
+    start = time.perf_counter()
+    code = main(["galois", "--poly", "1,0,0,0,0,0,0,0,1", "--prime-bound", "10000"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["witnesses"]["verdict"] == "inconclusive"
+    assert elapsed < 5
 
 
 def test_galois_subcommand(capsys):

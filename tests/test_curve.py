@@ -1,14 +1,16 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     COLLINEAR_BAD,
     CONIC_BAD,
+    DISTINCT_TRIPLE_BAD,
     FIXED_FRACTION_COEFFS,
     FRACTION_AT_CAP,
     FRACTION_OVER_CAP,
@@ -39,16 +41,18 @@ from delpezzo1 import (
     verify_bundle,
 )
 from delpezzo1.curve import _nth_root_form, forms_rank
-from delpezzo1.finitefield import fp_divrem, poly_mod_p
-from delpezzo1.quotient import qr_reduce, tri_eval_param
+from delpezzo1.quotient import tri_eval_param
 from delpezzo1.serialize import Check
+from delpezzo1.unipoly import CERT_PRIME
 from xyz_oracles import (
     apply_ops,
+    constraint_rows,
     form_value,
     jacobian,
     multiplicity_report_xyz,
     oracle_seeds,
     sextic_space_exact,
+    space_through_points,
 )
 
 
@@ -140,6 +144,61 @@ class TestValidateSeed:
             validate_seed([*low, 0, 1])
         except SeedError as exc:
             assert exc.code != "too-tall"
+
+
+def _seed_outcome(coeffs):
+    """validate_seed's verdict: the seed polynomial, or the SeedError code."""
+    try:
+        return validate_seed(coeffs).h
+    except SeedError as exc:
+        return exc.code
+
+
+@st.composite
+def decimal_texts(draw):
+    """Signed decimal strings m e k, with k on both sides of the pre-check's bound."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=12))
+    if draw(st.booleans()):
+        point = draw(st.integers(0, len(digits)))
+        digits = f"{digits[:point]}.{digits[point:]}"
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    return f"{sign}{digits}{draw(st.sampled_from('eE'))}{draw(st.integers(-120, 120))}"
+
+
+class TestDecimalExponent:
+    """A decimal exponent beyond the height cap is rejected before Fraction expands it."""
+
+    @pytest.mark.parametrize("text", ["1e3000000", "1e-3000000"])
+    def test_huge_exponent_rejected_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(SeedError) as info:
+            validate_seed([text, 1, 0, 0, 0, 0, 0, 0, 1])
+        assert time.perf_counter() - start < 0.01
+        assert info.value.code == "too-tall"
+        assert str(info.value).startswith("height over 104 bits")
+
+    @pytest.mark.parametrize("text", ["1e31", "100000e-35"])
+    def test_exponent_within_the_bound_accepted(self, text):
+        assert validate_seed([text, 1, 0, 0, 0, 0, 0, 0, 1]).h0 == Fraction(text)
+
+    def test_zero_mantissa_is_zero(self):
+        start = time.perf_counter()
+        seed = validate_seed([-1, "0e-3000000", 0, 0, 0, 0, 0, 0, 1])
+        assert time.perf_counter() - start < 0.01
+        assert seed.h == UniPoly([-1, 0, 0, 0, 0, 0, 0, 0, 1])
+        with pytest.raises(SeedError) as info:
+            validate_seed(["0e-3000000", 1, 0, 0, 0, 0, 0, 0, 1])
+        assert info.value.code == "zero-constant"
+
+    # the text and its exact value get the same verdict, so the pre-check
+    # rejects only seeds that the height cap rejects too
+    @settings(max_examples=200, deadline=None)
+    @given(decimal_texts(), st.integers(0, 6))
+    def test_rejects_only_what_the_height_cap_rejects(self, text, slot):
+        low = [-1, 1, 0, 0, 0, 0, 0]
+        by_text = _seed_outcome([*low[:slot], text, *low[slot + 1:], 0, 1])
+        by_value = _seed_outcome([*low[:slot], Fraction(text), *low[slot + 1:], 0, 1])
+        assert by_text == by_value
 
 
 class TestAmap:
@@ -302,7 +361,7 @@ class TestLinearSystems:
         bundle = build_bundle(seed_x8)
         forms = _pencil_basis(seed_x8)
         assert sextic_space(seed_x8, bundle.u, bundle.v, bundle.w) == CERTIFIED
-        oracle = curve._space_through_points(seed_x8, 6, SEXTIC_OPS)
+        oracle = space_through_points(seed_x8, 6, SEXTIC_OPS)
         assert len(oracle) == 4
         for f in forms:
             assert forms_rank(oracle + [f], 6) == forms_rank(oracle, 6)
@@ -324,6 +383,8 @@ CERTIFIED = Check("sextic_space_dimension", True, {"dimension": 4})
 # h = t^8 + 2t^6 + 5t^5 - t^3 + 3t^2 + 8t + 4: its sextic condition matrix
 # has rank 20 mod 2 and mod 3, and 24 over Q
 RANK_DROP_COEFFS = [4, 8, 3, -1, 0, 5, 2, 0, 1]
+# a coefficient with the prime 2^31 - 1 in its denominator
+PRIME_DENOMINATOR_COEFFS = [-1, Fraction(1, CERT_PRIME), 0, 0, 0, 0, 0, 0, 1]
 
 
 def _count_kernel_calls(monkeypatch) -> list[int]:
@@ -349,6 +410,19 @@ def _uvw(seed):
     return bundle.u, bundle.v, bundle.w
 
 
+@st.composite
+def degenerate_position_seeds(draw):
+    """Octics on eight distinct integer roots summing to 0 with a pair {a, -2a}."""
+    a = draw(st.integers(-12, 12).filter(bool))
+    others = draw(st.lists(st.integers(-25, 25), min_size=5, max_size=5, unique=True))
+    roots = [a, -2 * a, *others, a - sum(others)]
+    assume(0 not in roots and len(set(roots)) == 8)
+    h = UniPoly([1])
+    for r in roots:
+        h = h * UniPoly([-r, 1])
+    return validate_seed(h.coeffs)
+
+
 class TestSexticCertificate:
     def test_spans_the_exact_kernel(self):
         rng = random.Random(67)
@@ -358,21 +432,8 @@ class TestSexticCertificate:
         for seed in seeds:
             forms = _pencil_basis(seed)
             assert sextic_space(seed, *_uvw(seed)) == CERTIFIED
-            oracle = curve._space_through_points(seed, 6, SEXTIC_OPS)
+            oracle = space_through_points(seed, 6, SEXTIC_OPS)
             assert forms_rank(forms, 6) == forms_rank(oracle, 6) == forms_rank(forms + oracle, 6) == 4
-
-    def test_fp_rows_reduce_the_exact_rows(self):
-        # one builder, fed t^n mod h over Q or t^n mod (h mod p) over F_p
-        p = curve.CERT_PRIME
-        for coeffs in (X8_COEFFS, FIXED_FRACTION_COEFFS):
-            h = validate_seed(coeffs).h
-            hp = poly_mod_p(h, p)
-            t_powers = [UniPoly([0] * n + [1]) for n in range(19)]
-            exact = curve._constraint_rows([qr_reduce(t, h).coeffs for t in t_powers], 6, SEXTIC_OPS)
-            fp = curve._constraint_rows([fp_divrem(poly_mod_p(t, p), hp, p)[1] for t in t_powers], 6, SEXTIC_OPS)
-            reduced = [[c.numerator * pow(c.denominator, -1, p) % p for c in row] for row in exact]
-            assert len(exact) == 24
-            assert [[c % p for c in row] for row in fp] == reduced
 
     @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
     def test_certified_path_computes_no_kernel(self, coeffs, monkeypatch):
@@ -382,16 +443,15 @@ class TestSexticCertificate:
         assert sextic_space(seed, *uvw) == CERTIFIED
         assert calls == []
 
-    def test_prime_in_a_denominator_falls_back(self, monkeypatch):
-        seed = validate_seed([-1, Fraction(1, curve.CERT_PRIME), 0, 0, 0, 0, 0, 0, 1])
+    def test_prime_in_a_denominator_is_certified(self, monkeypatch):
+        seed = validate_seed(PRIME_DENOMINATOR_COEFFS)
         uvw = _uvw(seed)
         calls = _count_kernel_calls(monkeypatch)
-        # the exact kernel confirms the forms
         assert sextic_space(seed, *uvw) == CERTIFIED
-        assert calls == [24]
+        assert calls == []
 
-    # one control per premise of the certificate: each breaks it, and the
-    # exact kernel then decides
+    # one control per premise: each breaks it, and the Check fails with the
+    # exact kernel's verdict and dimension, though no kernel is computed
     @pytest.mark.parametrize(
         "wrong",
         [
@@ -402,14 +462,14 @@ class TestSexticCertificate:
         ],
         ids=["v_is_u", "w_not_in_system", "w_is_u_squared", "v_off_the_points"],
     )
-    def test_broken_premise_falls_back_to_the_kernel(self, wrong, monkeypatch):
+    def test_broken_premise_fails_like_the_kernel(self, wrong, monkeypatch):
         seed = validate_seed(X8_COEFFS)
         u, v, w = wrong(*_uvw(seed))
         oracle = sextic_space_exact(seed, u, v, w)
         assert not oracle.passed and oracle.witness == {"dimension": 4}
         calls = _count_kernel_calls(monkeypatch)
         check = sextic_space(seed, u, v, w)
-        assert calls == [24]
+        assert calls == []
         assert (check.name, check.passed, check.witness) == (
             oracle.name, oracle.passed, oracle.witness
         )
@@ -419,8 +479,7 @@ class TestSexticCertificate:
         h = validate_seed(coeffs).h
         ops = ["", "x", "y", "z", "xx", "xy"]
         for degree in (3, 6):
-            powers = [qr_reduce(UniPoly([0] * n + [1]), h).coeffs for n in range(3 * degree + 1)]
-            rows = curve._constraint_rows(powers, degree, ops)
+            rows = constraint_rows(h, degree, ops)
             assert len(rows) == len(ops) * h.degree
             for b, op in enumerate(ops):
                 block = rows[b * h.degree:(b + 1) * h.degree]
@@ -428,25 +487,26 @@ class TestSexticCertificate:
                     expected = tri_eval_param(apply_ops(TriPoly.monomial(e), op), h)
                     assert UniPoly([row[col] for row in block]) == expected, (degree, op, e)
 
-    # X8 keeps rank 24 mod 2 and mod 3, so only its cubic kernel is
-    # computed; the fraction (denominators divisible by 2 and 3) and the
-    # rank drop both fall back to the exact sextic kernel
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize(
-        ("coeffs", "kernel_rows"),
-        [(X8_COEFFS, [8]), (FIXED_FRACTION_COEFFS, [8, 24]), (RANK_DROP_COEFFS, [8, 24])],
-        ids=["x8", "fraction", "rank_drop"],
-    )
-    def test_small_primes_give_the_same_checks(self, coeffs, kernel_rows, p, monkeypatch):
-        seed = validate_seed(coeffs)
-        base = verify_bundle(build_bundle(seed))
-        monkeypatch.setattr(curve, "CERT_PRIME", p)
-        calls = _count_kernel_calls(monkeypatch)
-        patched = verify_bundle(build_bundle(seed))
-        assert [(c.name, c.passed, c.witness) for c in patched] == [
-            (c.name, c.passed, c.witness) for c in base
-        ]
-        assert calls == kernel_rows
+    # the lemma in sextic_space's docstring: restricted to the cuspidal
+    # cubic, the cubics through the points have dimension 2 and the sextics
+    # singular there dimension 4, on every valid seed, general or not
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(seed_polys(), degenerate_position_seeds()))
+    @example(validate_seed(RANK_DROP_COEFFS))
+    @example(validate_seed(PRIME_DENOMINATOR_COEFFS))
+    @example(validate_seed(COLLINEAR_BAD))
+    @example(validate_seed(CONIC_BAD))
+    @example(validate_seed(SLOW_PATH_GOOD))
+    @example(validate_seed(DISTINCT_TRIPLE_BAD))
+    def test_dimensions_by_restriction_to_the_cubic(self, seed):
+        u, v, w = _uvw(seed)
+        assert len(space_through_points(seed, 3, [""])) == 2
+        oracle = sextic_space_exact(seed, u, v, w)
+        assert oracle == CERTIFIED
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_kernel_calls(patch)
+            assert sextic_space(seed, u, v, w) == oracle
+        assert calls == []
 
 
 class TestRootScaling:
@@ -464,8 +524,8 @@ class TestRootScaling:
         calls = _count_kernel_calls(monkeypatch)
         scaled = verify_bundle(build_bundle(validate_seed(seed.h.scale_roots(k).coeffs)))
         assert [(c.name, c.passed) for c in scaled] == [(c.name, c.passed) for c in base]
-        # only the cubic system computes a kernel; k = 1/3 certifies the
-        # sextic system on fractional coefficients
+        # only the cubic system computes a kernel, on fractional
+        # coefficients (k = 1/3) too
         assert calls == [8]
 
 
@@ -584,7 +644,7 @@ def test_verify_bundle_flags_degenerate_model(seed_x8):
 
 def test_verify_bundle_flags_w_outside_the_sextic_system(seed_x8):
     # w + z^6 no longer vanishes at the points, so u^2, uv, v^2 and it are
-    # not a basis: sextic_space returns the exact kernel, still of dimension 4
+    # not a basis of the system, still of dimension 4
     bundle = build_bundle(seed_x8)
     broken = dataclasses.replace(bundle, w=bundle.w + TriPoly.monomial((0, 0, 6)))
     checks = {c.name: c for c in verify_bundle(broken)}

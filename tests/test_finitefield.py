@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product, takewhile, zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +12,8 @@ from delpezzo1.finitefield import (
     ddf_degree_multiset,
     fp_divrem,
     fp_mulmod,
-    iter_primes,
     poly_mod_p,
+    primes_up_to,
 )
 from delpezzo1.unipoly import UniPoly
 from xyz_oracles import oracle_seeds
@@ -150,7 +150,7 @@ def test_divrem_by_zero_raises():
 def test_cycle_types_are_invariant_under_root_scaling():
     # at a prime p not dividing k, the roots of h.scale_roots(k) mod p are k
     # times those of h, so the factor degrees (or the reason to skip) agree
-    primes = list(takewhile(lambda p: p <= 200, iter_primes()))
+    primes = primes_up_to(200)
     seeds = oracle_seeds()
     cases = 0
     for seed in seeds:
@@ -240,10 +240,12 @@ def test_agreement_with_sympy_on_seed():
         assert ct.parts == tuple(sorted(degs)), p
 
 
-def test_prime_generator():
-    gen = iter_primes()
-    first = [next(gen) for _ in range(10)]
-    assert first == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+def test_prime_sieve():
+    assert primes_up_to(29) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [primes_up_to(n) for n in range(4)] == [[], [], [2], [2, 3]]
+    by_trial_division = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
+    assert primes_up_to(1999) == by_trial_division
+    assert len(primes_up_to(10_000)) == 1229
 
 
 def test_cycle_type_requires_sorted_parts():

@@ -8,7 +8,6 @@ from delpezzo1.linalg import (
     bareiss_det,
     f2_det,
     f2_rank,
-    fp_rank,
     frac_is_square,
     int_functional_kernel,
     int_is_square,
@@ -97,17 +96,3 @@ def test_f2_rank_and_det():
 def _leibniz_det_mod2(rows, n):
     # over F2 every sign is 1: count the permutations whose entries are all 1
     return sum(all(rows[i] >> p[i] & 1 for i in range(n)) for p in permutations(range(n))) & 1
-
-
-def test_fp_rank():
-    rng = random.Random(71)
-    for _ in range(200):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        # a prime above every minor (at most 6! * 3^6) cannot lower the rank
-        assert fp_rank(rows, 1_000_003) == q_rank([[Fraction(v) for v in r] for r in rows])
-    p = 7
-    assert q_rank([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + p)]]) == 2
-    assert fp_rank([[1, 1], [1, 1 + p]], p) == 1
-    assert fp_rank([[p, 2 * p], [-p, 0]], p) == 0
-    assert fp_rank([], p) == 0

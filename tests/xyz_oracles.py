@@ -3,7 +3,9 @@
 The library takes only x/y partials at the seed points and one x/y
 gradient minor.  These oracles take every partial in x, y and z and all
 three gradient minors, so a test can assert that both give the same
-Checks, and they impose the z-partial on the sextic system explicitly.
+Checks.  The linear-system oracle solves the conditions at the points
+exactly over Q, where the library proves the sextic dimension instead;
+it imposes the z-partial on the sextic system explicitly.
 The evaluation oracles give the value of a polynomial or a form at a point,
 which the library itself never needs.  The Jacobian oracle expands the
 determinant on the forms as given, without clearing denominators first.
@@ -14,11 +16,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import perm
+from typing import Sequence
 
 from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
-from delpezzo1 import U_FORM, curve, validate_seed
-from delpezzo1.curve import CurveBundle, SeedPoly, forms_rank
-from delpezzo1.quotient import common_factor, tri_eval_param
+from delpezzo1 import U_FORM, validate_seed
+from delpezzo1.curve import CurveBundle, SeedPoly, _monomials, forms_rank
+from delpezzo1.linalg import q_kernel_basis
+from delpezzo1.quotient import common_factor, qr_reduce, tri_eval_param
 from delpezzo1.serialize import Check
 from delpezzo1.tripoly import TriPoly
 from delpezzo1.unipoly import UniPoly
@@ -98,9 +103,38 @@ def check_singular_cubic_xyz(seed: SeedPoly, v: TriPoly) -> Check:
     )
 
 
+def constraint_rows(h: UniPoly, degree: int, ops: Sequence[str]) -> list[list[Fraction]]:
+    """One block of deg h rows per op: op applied to each monomial at (t^3, t, 1) mod h.
+
+    Column e of block op holds the coefficients of that remainder.  In
+    closed form, an op with a x's, b y's and c z's takes x^i y^j z^k to
+    perm(i, a) perm(j, b) perm(k, c) t^n with n = 3(i - a) + (j - b).
+    """
+    mons = _monomials(degree)
+    powers = [qr_reduce(UniPoly([0] * n + [1]), h).coeffs for n in range(3 * degree + 1)]
+    rows = []
+    for op in ops:
+        a, b, c = (op.count(s) for s in VARS)
+        block = [[0] * len(mons) for _ in range(h.degree)]
+        for col, (i, j, k) in enumerate(mons):
+            coeff = perm(i, a) * perm(j, b) * perm(k, c)
+            if coeff:
+                for d, r in enumerate(powers[3 * (i - a) + (j - b)]):
+                    block[d][col] = coeff * r
+        rows.extend(block)
+    return rows
+
+
+def space_through_points(seed: SeedPoly, degree: int, ops: Sequence[str]) -> list[TriPoly]:
+    """The exact kernel over Q: a basis of the forms whose ops all vanish at the points."""
+    mons = _monomials(degree)
+    kernel = q_kernel_basis(constraint_rows(seed.h, degree, ops), len(mons))
+    return [TriPoly(dict(zip(mons, vec))) for vec in kernel]
+
+
 def sextic_space_exact(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
     """The exact kernel of the value, x-, y- and z-conditions, and u^2, uv, v^2, w against it."""
-    kernel = curve._space_through_points(seed, 6, ["", "x", "y", "z"])
+    kernel = space_through_points(seed, 6, ["", "x", "y", "z"])
     forms = [u * u, u * v, v * v, w]
     basis = len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4
     return Check("sextic_space_dimension", basis, {"dimension": len(kernel)})
