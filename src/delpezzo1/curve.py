@@ -306,9 +306,15 @@ def multiplicity_report(bundle: CurveBundle) -> list[Check]:
     is 1.  For degree >= 3 that is the gcd with all order-3 partials, as
     by Euler a form of positive degree vanishes where its first partials
     do.  Returns vanishing_to_order_2 and multiplicity_exactly_3.
+
+    Both witnesses, the first failing partial and the monic gcd, are the
+    same for any nonzero multiple of Q, so the partials are taken of d Q,
+    with d the lcm of Q's coefficient denominators: they run on ints.
     """
     h = bundle.seed.h
-    partials = _xy_partials(bundle.q_form, 3)
+    q = bundle.q_form
+    d = lcm(*(c.denominator for c in q.terms.values()))
+    partials = _xy_partials(q if d == 1 else q * d, 3)
     low = [tri_eval_param(f, h) for f in partials[:6]]
     failed = next((op or "value" for op, r in zip(_xy_ops(2), low) if not r.is_zero), None)
     ok2 = failed is None

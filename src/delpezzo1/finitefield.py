@@ -98,16 +98,28 @@ def fp_deriv(a: FpPoly, p: int) -> FpPoly:
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def fp_powmod(base: FpPoly, e: int, mod: FpPoly, p: int) -> FpPoly:
-    result = [1]
-    base = fp_divrem(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = fp_mulmod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = fp_mulmod(base, base, mod, p)
-    return result
+def fp_xpowmod(e: int, mod: FpPoly, p: int) -> FpPoly:
+    """x^e mod (mod, p) for e >= 1, by left-to-right squaring from x.
+
+    Every bit of e after the leading one squares the running power, and a
+    set bit then multiplies it by x: a shift and one reduction step.
+    """
+    r = fp_divrem([0, 1], mod, p)[1]
+    for bit in bin(e)[3:]:
+        r = fp_mulmod(r, r, mod, p)
+        if bit == "1":
+            r = fp_divrem([0] + r, mod, p)[1]
+    return r
+
+
+def _frobenius(a: FpPoly, rows: list[FpPoly], p: int) -> FpPoly:
+    """a(x)^p = a(x^p) = sum a_i rows[i] mod f, for rows[i] = x^(ip) mod f."""
+    out = [0] * len(rows)
+    for c, row in zip(a, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return _trim([c % p for c in out])
 
 
 def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
@@ -118,6 +130,14 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
     smaller stages are stripped, that gcd is exactly the degree-d part.
     Skip-signals when p divides the leading coefficient or h mod p is not
     squarefree.
+
+    x^p mod f is computed once.  Over F_p, a(x)^p = a(x^p): the p-th power
+    is a ring map fixing the coefficients.  So with a = x^(p^(d-1)) mod f,
+    stage d needs x^(p^d) = a(x)^p = sum a_i x^(ip) mod f, one linear
+    combination of the rows x^(ip) mod f, built when stage 2 is first
+    reached.  When a factor g splits off, the residues and rows are reduced
+    modulo f/g, which divides f, so they stay the residues of the same
+    powers.
     """
     hp = poly_mod_p(h, p)
     if len(hp) - 1 != h.degree:
@@ -127,14 +147,18 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
     inv = pow(hp[-1], -1, p)
     f = [c * inv % p for c in hp]
     parts: list[int] = []
-    xq = fp_divrem([0, 1], f, p)[1]
+    rows = [[1], fp_xpowmod(p, f, p)]  # rows[i] = x^(ip) mod f, i < deg f
+    xq = rows[1]
     d = 0
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
             parts.append(len(f) - 1)
             break
-        xq = fp_powmod(xq, p, f, p)
+        if d > 1:
+            while len(rows) < len(f) - 1:
+                rows.append(fp_mulmod(rows[-1], rows[1], f, p))
+            xq = _frobenius(xq, rows, p)
         diff = _trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xq + [0, 0])])
         g = fp_gcd(f, diff, p)
         if len(g) - 1 > 0:
@@ -144,6 +168,7 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
             if r:
                 raise ArithmeticError("inexact division over F_p")
             xq = fp_divrem(xq, f, p)[1]
+            rows = [fp_divrem(row, f, p)[1] for row in rows[: len(f) - 1]]
     ct = CycleType(p, tuple(sorted(parts)))
     if ct.degree != h.degree:
         raise ArithmeticError(f"factor degrees {ct.parts} do not add up to {h.degree}")

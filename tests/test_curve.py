@@ -574,6 +574,19 @@ class TestMultiplicity:
             want = [(c.name, c.passed, c.witness) for c in multiplicity_report_xyz(bundle)]
             assert got == want
 
+    def test_checks_do_not_see_a_constant_factor_of_q(self):
+        # the partials run on d Q, with d the lcm of Q's denominators; the
+        # witnesses (the first failing partial, the monic gcd) must agree on
+        # every nonzero multiple of Q, integral or not
+        x8 = build_bundle(validate_seed(X8_COEFFS))
+        bundles = [x8, build_bundle(validate_seed(FIXED_FRACTION_COEFFS))]
+        bundles += [dataclasses.replace(x8, q_form=q) for q in (x8.u**2, x8.u**3 * x8.v)]
+        for bundle in bundles:
+            want = [(c.name, c.passed, c.witness) for c in multiplicity_report(bundle)]
+            for c in (2, Fraction(-1, 3), 2**100 + 277):
+                scaled = dataclasses.replace(bundle, q_form=bundle.q_form * c)
+                assert [(k.name, k.passed, k.witness) for k in multiplicity_report(scaled)] == want
+
 
 class TestGenus:
     def test_branch_model(self):

@@ -12,10 +12,12 @@ from delpezzo1.finitefield import (
     ddf_degree_multiset,
     fp_divrem,
     fp_mulmod,
+    fp_xpowmod,
     poly_mod_p,
     primes_up_to,
 )
 from delpezzo1.unipoly import UniPoly
+from conftest import FIXED_FRACTION_COEFFS, random_valid_seed
 from xyz_oracles import oracle_seeds
 
 
@@ -142,6 +144,23 @@ def test_mulmod_is_the_remainder_of_the_product(case, data):
     assert fp_mulmod(a, b, mod, p) == rem_oracle(mul_oracle(a, b, p), _reduce(mod, p), p)
 
 
+def test_xpowmod_matches_repeated_multiplication():
+    # modulo x^8 + c the powers of x reach the constant -c, which must still
+    # be squared; the other moduli are random, of degree 1, 3 and 8, not monic
+    rng = random.Random(23)
+    cases = [([c % p] + [0] * 7 + [1], p) for p in (2, 3, 5, 17, 499) for c in (1, -1, 2)]
+    cases += [
+        ([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)], p)
+        for p in (2, 7, 499)
+        for deg in (1, 3, 8)
+    ]
+    for mod, p in cases:
+        power = [1]
+        for e in range(1, 70):
+            power = fp_mulmod(power, [0, 1], mod, p)
+            assert fp_xpowmod(e, mod, p) == power, (mod, p, e)
+
+
 def test_divrem_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         fp_divrem([1, 2], [], 5)
@@ -221,23 +240,48 @@ def test_agreement_with_trial_division():
     assert checked == sum(c for _, c in cases)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_agreement_with_sympy_on_seed():
+def _sympy_parts_or_skip(h, p):
+    """Factor degrees of h mod p by sympy, or "skip" where the DDF must skip p."""
     import sympy as sp
 
-    t = sp.Symbol("t")
-    h = UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1])
-    expr = sum(int(c) * t**i for i, c in enumerate(h.coeffs))
-    for p in (3, 5, 7, 11, 13, 19, 23):
+    try:
+        f = poly_mod_p(h, p)
+    except PrimeSkip:
+        return "skip"
+    if len(f) - 1 != h.degree:
+        return "skip"
+    _, factors = sp.Poly(f[::-1], sp.Symbol("t"), modulus=p).factor_list()
+    if any(mult > 1 for _, mult in factors):
+        return "skip"
+    return tuple(sorted(fac.degree() for fac, _ in factors))
+
+
+_rng = random.Random(59)
+DDF_POLYS = {
+    # a power of x is a constant mod f
+    "x^8+1": UniPoly([1, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "x^8-1": UniPoly([-1, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "x^8+2": UniPoly([2, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "x^8+16": UniPoly([16, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "X8": UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1]),
+    # a rational root, as in every seed the Galois sampler leaves inconclusive
+    "root -1": UniPoly([-9, 3, -1, -9, 3, 1, 1, 0, 1]),
+    "root 2": UniPoly([-2, 1]) * UniPoly([3, -1, 0, 4, 1, -5, 2, 1]),
+    "small": random_valid_seed(_rng).h,
+    "100-bit": UniPoly([_rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]),
+    "p/q": UniPoly([Fraction(_rng.randint(-(10**6), 10**6), _rng.randint(1, 10**6)) for _ in range(7)] + [0, 1]),
+    "p/q fixed": UniPoly([Fraction(c) for c in FIXED_FRACTION_COEFFS]),
+}
+
+
+@pytest.mark.parametrize("h", DDF_POLYS.values(), ids=list(DDF_POLYS))
+def test_agreement_with_sympy_at_every_prime_to_500(h):
+    for p in primes_up_to(500):
         try:
-            ct = ddf_degree_multiset(h, p)
+            got = ddf_degree_multiset(h, p).parts
         except PrimeSkip:
-            continue
-        _, factors = sp.factor_list(sp.Poly(expr, t, modulus=p))
-        degs = []
-        for fac, mult in factors:
-            degs.extend([sp.Poly(fac, t).degree()] * mult)
-        assert ct.parts == tuple(sorted(degs)), p
+            got = "skip"
+        assert got == _sympy_parts_or_skip(h, p), (h, p)
 
 
 def test_prime_sieve():
