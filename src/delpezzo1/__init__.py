@@ -26,12 +26,13 @@ from .curve import (
     verify_bundle,
 )
 from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset
-from .galois import GaloisCertificate, certify_galois
+from .galois import GaloisCertificate, certify_galois, galois_check
 from .lattice import (
     IntLattice,
     build_hyperbolic,
     enumerate_short_vectors,
     f8s_iso_check,
+    lattice_checks,
     linalg_lemma_check,
     mod2_quadratic_census,
     orth_complement,

@@ -14,19 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 
 from .curve import SeedError, SeedPoly, build_bundle, build_v, validate_seed, verify_bundle
-from .galois import certify_galois
-from .lattice import (
-    build_hyperbolic,
-    enumerate_short_vectors,
-    f8s_iso_check,
-    linalg_lemma_check,
-    mod2_quadratic_census,
-    orth_complement,
-    picard_model_check,
-)
+from .galois import galois_check
+from .lattice import lattice_checks
 from .position import position_checks
 from .serialize import Check, to_canonical_json, to_text
 
@@ -44,12 +35,6 @@ def _forms(bundle) -> dict:
     return {"u": bundle.u, "v": bundle.v, "w": bundle.w, "Q": bundle.q_form}
 
 
-def _galois_check(seed: SeedPoly, prime_bound: int) -> Check:
-    cert = certify_galois(seed, prime_bound)
-    witness = {f.name: getattr(cert, f.name) for f in fields(cert)}
-    return Check("galois_certified", cert.certified, witness)
-
-
 def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
     bundle = build_bundle(seed)
     check = Check(
@@ -63,7 +48,7 @@ def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
 def _verify(seed: SeedPoly, args) -> tuple[list[Check], dict]:
     bundle = build_bundle(seed)
     checks = verify_bundle(bundle) + position_checks(seed, bundle.v)
-    galois = _galois_check(seed, args.prime_bound)
+    galois = galois_check(seed, args.prime_bound)
     checks.append(Check(galois.name, galois.passed, None))
     return checks, {"forms": _forms(bundle), "galois": galois.witness}
 
@@ -73,43 +58,11 @@ def _position(seed: SeedPoly, args) -> tuple[list[Check], dict]:
 
 
 def _galois(seed: SeedPoly, args) -> tuple[list[Check], dict]:
-    return [_galois_check(seed, args.prime_bound)], {}
+    return [galois_check(seed, args.prime_bound)], {}
 
 
 def _lattice(seed: None, args) -> tuple[list[Check], dict]:
-    d = args.d
-    marked = build_hyperbolic(d)
-    comp = orth_complement(marked.lattice, marked.omega)
-    roots = enumerate_short_vectors(comp.lattice, -2)
-    pairing = marked.lattice.pair(marked.omega, marked.omega)
-    det = comp.lattice.determinant
-    checks = [
-        Check("omega_self_pairing", pairing == d, {"omega_self_pairing": pairing}),
-        Check("complement_rank", comp.lattice.rank == 9 - d, {}),
-        Check(
-            "complement_determinant",
-            abs(det) == (1 if d == 1 else 2),
-            {"complement_determinant": det},
-        ),
-        Check("complement_even", comp.lattice.is_even, {}),
-        Check("root_count", len(roots) == (240 if d == 1 else 126), {"root_count": len(roots)}),
-    ]
-    if d == 1:
-        f8s = f8s_iso_check(marked, comp)
-        pic = picard_model_check(marked)
-        census = mod2_quadratic_census(comp.lattice, roots)
-        lemma = linalg_lemma_check()
-        checks += [
-            Check("mod2_identification", f8s.passed, {}),
-            Check("picard_gram", pic.passed, {"picard_diag": pic.witness["diag_pairings"]}),
-            Check(
-                "mod2_census",
-                census.passed,
-                {"census_q1": census.witness["nonzero_q1"], "census_q0": census.witness["nonzero_q0"]},
-            ),
-            Check("independence_lemma_small", lemma.passed, {}),
-        ]
-    return checks, {}
+    return lattice_checks(args.d), {}
 
 
 # name -> (build, nested, help, flags).  build(seed, args) returns the

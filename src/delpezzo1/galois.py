@@ -23,6 +23,7 @@ from fractions import Fraction
 from .curve import SeedPoly
 from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset, primes_up_to
 from .linalg import frac_is_square
+from .serialize import Check
 
 S8_CERTIFIED = "S8-certified"
 A8_CERTIFIED = "A8-certified"
@@ -81,3 +82,17 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
         discriminant=disc,
         sampled_cycle_types=tuple(sampled),
     )
+
+
+def galois_check(seed: SeedPoly, prime_bound: int) -> Check:
+    """The certificate as the `galois_certified` check, its witness in plain values."""
+    cert = certify_galois(seed, prime_bound)
+    witness = {
+        "verdict": cert.verdict,
+        "transitivity_prime": cert.transitivity_prime,
+        "five_cycle_prime": cert.five_cycle_prime,
+        "discriminant_is_square": cert.discriminant_is_square,
+        "discriminant": cert.discriminant,
+        "sampled_cycle_types": [{"prime": ct.prime, "parts": ct.parts} for ct in cert.sampled_cycle_types],
+    }
+    return Check("galois_certified", cert.certified, witness)

@@ -349,3 +349,35 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
             "reflections_preserve_q": preserve,
         },
     )
+
+
+def lattice_checks(d: int) -> list[Check]:
+    """The checks the `lattice` subcommand reports, in report order.
+
+    The complement of omega is even of rank 9 - d, with |det| = (omega,
+    omega) = d and 240 (E8) or 126 (E7) roots.  For d = 1 the four mod-2
+    checks follow, reported with at most the witness fields named here.
+    """
+    marked = build_hyperbolic(d)
+    comp = orth_complement(marked.lattice, marked.omega)
+    roots = enumerate_short_vectors(comp.lattice, -2)
+    pairing = marked.lattice.pair(marked.omega, marked.omega)
+    det = comp.lattice.determinant
+    checks = [
+        Check("omega_self_pairing", pairing == d, {"omega_self_pairing": pairing}),
+        Check("complement_rank", comp.lattice.rank == 9 - d, {}),
+        Check("complement_determinant", abs(det) == d, {"complement_determinant": det}),
+        Check("complement_even", comp.lattice.is_even, {}),
+        Check("root_count", len(roots) == (240 if d == 1 else 126), {"root_count": len(roots)}),
+    ]
+    if d == 1:
+        pic = picard_model_check(marked)
+        census = mod2_quadratic_census(comp.lattice, roots)
+        counts = {"census_q1": census.witness["nonzero_q1"], "census_q0": census.witness["nonzero_q0"]}
+        checks += [
+            Check("mod2_identification", f8s_iso_check(marked, comp).passed, {}),
+            Check("picard_gram", pic.passed, {"picard_diag": pic.witness["diag_pairings"]}),
+            Check("mod2_census", census.passed, counts),
+            Check("independence_lemma_small", linalg_lemma_check().passed, {}),
+        ]
+    return checks

@@ -11,7 +11,7 @@ emit identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .tripoly import TriPoly
@@ -32,12 +32,12 @@ class Check:
 
 
 def jsonable(value):
-    """JSON-ready copy of a payload.
+    """JSON-ready copy of a payload of dicts, lists, tuples, ints, strings and None.
 
     Fractions become decimal strings, a UniPoly its ascending coefficient
     strings ([] for zero), a TriPoly its monomial list
-    [{"e": [i, j, k], "c": "coeff"}, ...], leading term first, and a
-    dataclass instance the dict of its fields.
+    [{"e": [i, j, k], "c": "coeff"}, ...], leading term first; any other
+    type raises TypeError, so no new witness type changes the bytes unseen.
     """
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
@@ -49,11 +49,9 @@ def jsonable(value):
         return [str(c) for c in value.coeffs]
     if isinstance(value, TriPoly):
         return [{"e": list(e), "c": str(c)} for e, c in value.sorted_terms()]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
-    if is_dataclass(value):
-        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
-    return str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def to_canonical_json(payload: dict) -> str:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import COLLINEAR_BAD, FRACTION_AT_CAP, INT_AT_CAP, X8_COEFFS
 import delpezzo1
-from delpezzo1 import cli, curve, linalg
+from delpezzo1 import cli, curve, galois, lattice, linalg
 from delpezzo1.cli import main
 
 X8_POLY = ",".join(str(c) for c in X8_COEFFS)
@@ -196,7 +197,7 @@ def test_internal_exception_exits_3(error, monkeypatch, capsys):
     def broken(seed, prime_bound):
         raise error
 
-    monkeypatch.setattr(cli, "certify_galois", broken)
+    monkeypatch.setattr(galois, "certify_galois", broken)
     code = main(["galois", "--poly", X8_POLY])
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
@@ -206,13 +207,13 @@ def test_internal_exception_exits_3(error, monkeypatch, capsys):
 
 @pytest.mark.parametrize("bound", ["1", "0", "-5"])
 def test_prime_bound_below_2_is_an_argparse_error(bound, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "certify_galois", _never_called)
+    monkeypatch.setattr(galois, "certify_galois", _never_called)
     assert main(["galois", "--poly", X8_POLY, "--prime-bound", bound]) == 2
     assert "argument --prime-bound: expected an integer of at least 2" in capsys.readouterr().err
 
 
 def test_prime_bound_above_10000_is_an_argparse_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "certify_galois", _never_called)
+    monkeypatch.setattr(galois, "certify_galois", _never_called)
     assert main(["galois", "--poly", X8_POLY, "--prime-bound", "10001"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -288,6 +289,57 @@ def test_no_module_imports_random():
                 continue
             offenders += [path.name for name in names if name.split(".")[0] == "random"]
     assert offenders == []
+
+
+def test_cli_imports_one_entry_point_per_layer():
+    # the lattice and Galois reports are built in their own modules
+    imported: dict = {}
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    assert None not in imported  # no "from . import lattice"
+    assert imported["lattice"] == ["lattice_checks"]
+    assert imported["galois"] == ["galois_check"]
+    assert not hasattr(cli, "_galois_check")
+
+
+# each detailed lattice check, and the emitted check that reports its verdict
+LATTICE_BLOCKS = {
+    "f8s_iso_check": "mod2_identification",
+    "picard_model_check": "picard_gram",
+    "mod2_quadratic_census": "mod2_census",
+    "linalg_lemma_check": "independence_lemma_small",
+}
+
+
+@pytest.mark.parametrize("block", sorted(LATTICE_BLOCKS))
+def test_failing_lattice_block_reaches_the_report(block, monkeypatch, capsys):
+    assert main(["lattice", "--d", "1"]) == 0
+    passing = json.loads(capsys.readouterr().out)
+    original = getattr(lattice, block)
+
+    def failing(*args):
+        return dataclasses.replace(original(*args), passed=False)
+
+    monkeypatch.setattr(lattice, block, failing)
+    assert main(["lattice", "--d", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [name for name, ok in payload["checks"].items() if not ok] == [LATTICE_BLOCKS[block]]
+    assert payload["witnesses"] == passing["witnesses"]
+
+
+def test_unrenderable_witness_exits_3(monkeypatch, capsys):
+    certify = galois.certify_galois
+
+    def opaque(seed, prime_bound):
+        return dataclasses.replace(certify(seed, prime_bound), discriminant=object())
+
+    monkeypatch.setattr(galois, "certify_galois", opaque)
+    for fmt in ("json", "text"):
+        code = main(["galois", "--poly", X8_POLY, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "error: TypeError: no JSON form for object\n"
 
 
 @pytest.mark.parametrize("case", DIGESTS, ids=lambda case: " ".join(case["argv"]))

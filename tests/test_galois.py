@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from conftest import (
     position_verdicts,
     random_valid_seed,
 )
-from delpezzo1 import certify_galois, validate_seed
-from delpezzo1.galois import A8_CERTIFIED, INCONCLUSIVE, S8_CERTIFIED
+from delpezzo1 import certify_galois, galois_check, validate_seed
+from delpezzo1.galois import A8_CERTIFIED, INCONCLUSIVE, S8_CERTIFIED, GaloisCertificate
 
 
 def test_worked_seed_is_s8_certified(seed_x8):
@@ -120,3 +121,33 @@ def test_root_scaling(coeffs, k):
     assert scaled.discriminant_is_square == base.discriminant_is_square
     if base.certified and scaled.certified:
         assert scaled.verdict == base.verdict
+
+
+def _values(node):
+    """Every value nested in dicts, lists and tuples, containers included."""
+    yield node
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _values(item)
+
+
+@pytest.mark.parametrize(
+    "coeffs, certified",
+    [(X8_COEFFS, True), ([1, 0, 0, 0, 0, 0, 0, 0, 1], False)],
+    ids=["x8", "x8_plus_1"],
+)
+def test_galois_check_reports_the_certificate_in_plain_values(coeffs, certified):
+    seed = validate_seed(coeffs)
+    cert = certify_galois(seed, 200)
+    check = galois_check(seed, 200)
+    assert check.name == "galois_certified"
+    assert check.passed == cert.certified == certified
+    assert set(check.witness) == {f.name for f in fields(GaloisCertificate)}
+    assert not any(is_dataclass(value) for value in _values(check.witness))
+    assert check.witness["verdict"] == cert.verdict
+    assert check.witness["discriminant"] == cert.discriminant
+    assert check.witness["sampled_cycle_types"] == [
+        {"prime": ct.prime, "parts": ct.parts} for ct in cert.sampled_cycle_types
+    ]

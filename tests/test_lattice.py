@@ -12,6 +12,7 @@ from delpezzo1.lattice import (
     build_hyperbolic,
     enumerate_short_vectors,
     f8s_iso_check,
+    lattice_checks,
     linalg_lemma_check,
     mod2_quadratic_census,
     orth_complement,
@@ -450,3 +451,36 @@ class TestIndependenceLemma:
                             z ^= tup[i]
                     assert any((z & zj).bit_count() & 1 for zj in tup)
         assert counts == {(1, 2): 0, (2, 2): 0, (3, 2): 3, (4, 2): 12, (6, 4): 480}
+
+
+class TestLatticeReport:
+    SHARED = [
+        "omega_self_pairing",
+        "complement_rank",
+        "complement_determinant",
+        "complement_even",
+        "root_count",
+    ]
+    MOD2 = ["mod2_identification", "picard_gram", "mod2_census", "independence_lemma_small"]
+
+    def test_names_in_report_order(self):
+        assert [c.name for c in lattice_checks(1)] == self.SHARED + self.MOD2
+        assert [c.name for c in lattice_checks(2)] == self.SHARED
+
+    @pytest.mark.parametrize("d, det, roots", [(1, 1, 240), (2, 2, 126)])
+    def test_all_pass_with_their_witnesses(self, d, det, roots):
+        checks = lattice_checks(d)
+        assert all(c.passed for c in checks)
+        witness = {k: v for c in checks for k, v in c.witness.items()}
+        assert witness["omega_self_pairing"] == d
+        assert abs(witness["complement_determinant"]) == det
+        assert witness["root_count"] == roots
+
+    def test_mod2_witnesses_come_from_the_detailed_checks(self):
+        by_name = {c.name: c.witness for c in lattice_checks(1)}
+        marked = build_hyperbolic(1)
+        assert by_name["picard_gram"] == {
+            "picard_diag": picard_model_check(marked).witness["diag_pairings"]
+        }
+        assert by_name["mod2_census"] == {"census_q1": 120, "census_q0": 135}
+        assert by_name["mod2_identification"] == by_name["independence_lemma_small"] == {}
