@@ -15,7 +15,15 @@ import argparse
 import functools
 import sys
 
-from .curve import SeedError, SeedPoly, build_bundle, build_v, validate_seed, verify_bundle
+from .curve import (
+    SeedError,
+    SeedPoly,
+    build_bundle,
+    build_v,
+    model_degree_check,
+    validate_seed,
+    verify_bundle,
+)
 from .galois import galois_check
 from .lattice import lattice_checks
 from .position import position_checks
@@ -37,12 +45,7 @@ def _forms(bundle) -> dict:
 
 def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
     bundle = build_bundle(seed)
-    check = Check(
-        "model_degree_9",
-        bundle.q_form.total_degree == 9,
-        {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic},
-    )
-    return [check], {"forms": _forms(bundle)}
+    return [model_degree_check(bundle)], {"forms": _forms(bundle)}
 
 
 def _verify(seed: SeedPoly, args) -> tuple[list[Check], dict]:
@@ -156,15 +159,12 @@ def _merge_poly_flag(argv: list[str]) -> list[str]:
     Coefficient lists routinely start with a minus sign, which argparse
     would otherwise read as an option name.
     """
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--poly" and i + 1 < len(argv):
-            out.append("--poly=" + argv[i + 1])
-            i += 2
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--poly":
+            out[-1] += "=" + arg
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 

@@ -196,6 +196,12 @@ def build_bundle(seed: SeedPoly) -> CurveBundle:
     return CurveBundle(seed, u, v, w, q_form, g_cubic, p_reduced)
 
 
+def model_degree_check(bundle: CurveBundle) -> Check:
+    """The construct report's check: Q has degree 9, witnessed by w's audit trail."""
+    witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic}
+    return Check("model_degree_9", bundle.q_form.total_degree == 9, witness)
+
+
 # -- linear systems through the seed points ------------------------------
 
 
@@ -400,9 +406,9 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
     checks.append(Check("v_parametric_identity", ident.is_zero, {"residual_degree": ident.degree}))
     checks.append(Check("v_x_degree", v.x_degree == 3, {"x_degree": v.x_degree}))
 
-    # a kernel basis is independent, so equal ranks put u and v in its span
+    # the kernel is exactly the cubics that vanish at the points
     cubics = cubic_space(seed)
-    cubic_ok = len(cubics) == 2 and forms_rank(cubics + [u, v], 3) == 2
+    cubic_ok = len(cubics) == 2 and tri_eval_param(u, h).is_zero and tri_eval_param(v, h).is_zero
     ninth_cubic = all(c.coeff((0, 0, 3)) == 0 for c in cubics)
     checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
     checks.append(Check("cubic_space_ninth_point", ninth_cubic, {}))

@@ -86,11 +86,9 @@ def fp_mulmod(a: FpPoly, b: FpPoly, mod: FpPoly, p: int) -> FpPoly:
 
 
 def fp_gcd(a: FpPoly, b: FpPoly, p: int) -> FpPoly:
+    """A gcd of a and b over F_p: the last nonzero remainder, not made monic."""
     while b:
         a, b = b, fp_divrem(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
     return a
 
 
@@ -131,23 +129,21 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
     Skip-signals when p divides the leading coefficient or h mod p is not
     squarefree.
 
-    x^p mod f is computed once.  Over F_p, a(x)^p = a(x^p): the p-th power
-    is a ring map fixing the coefficients.  So with a = x^(p^(d-1)) mod f,
-    stage d needs x^(p^d) = a(x)^p = sum a_i x^(ip) mod f, one linear
-    combination of the rows x^(ip) mod f, built when stage 2 is first
-    reached.  When a factor g splits off, the residues and rows are reduced
-    modulo f/g, which divides f, so they stay the residues of the same
-    powers.
+    x^p mod hp, for hp = h mod p, is computed once.  Over F_p, a(x)^p =
+    a(x^p): the p-th power is a ring map fixing the coefficients.  So with
+    a = x^(p^(d-1)) mod hp, stage d needs x^(p^d) = a(x)^p = sum a_i x^(ip)
+    mod hp, a combination of the rows x^(ip) mod hp, built lazily at stage 2.
+    Every residue stays modulo hp however far f has split: f divides hp, so
+    gcd(f, r) = gcd(f, x^(p^d) - x) for any r = x^(p^d) - x mod hp.
     """
     hp = poly_mod_p(h, p)
     if len(hp) - 1 != h.degree:
         raise PrimeSkip(f"leading coefficient vanishes mod {p}")
     if len(fp_gcd(hp, fp_deriv(hp, p), p)) != 1:
         raise PrimeSkip(f"not squarefree mod {p}")
-    inv = pow(hp[-1], -1, p)
-    f = [c * inv % p for c in hp]
+    f = hp
     parts: list[int] = []
-    rows = [[1], fp_xpowmod(p, f, p)]  # rows[i] = x^(ip) mod f, i < deg f
+    rows = [[1], fp_xpowmod(p, hp, p)]  # rows[i] = x^(ip) mod hp, i < deg hp
     xq = rows[1]
     d = 0
     while len(f) - 1 > 0:
@@ -156,19 +152,16 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
             parts.append(len(f) - 1)
             break
         if d > 1:
-            while len(rows) < len(f) - 1:
-                rows.append(fp_mulmod(rows[-1], rows[1], f, p))
+            while len(rows) < len(hp) - 1:
+                rows.append(fp_mulmod(rows[-1], rows[1], hp, p))
             xq = _frobenius(xq, rows, p)
         diff = _trim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(xq + [0, 0])])
         g = fp_gcd(f, diff, p)
-        if len(g) - 1 > 0:
-            deg_g = len(g) - 1
-            parts.extend([d] * (deg_g // d))
+        if len(g) > 1:
+            parts.extend([d] * ((len(g) - 1) // d))
             f, r = fp_divrem(f, g, p)
             if r:
                 raise ArithmeticError("inexact division over F_p")
-            xq = fp_divrem(xq, f, p)[1]
-            rows = [fp_divrem(row, f, p)[1] for row in rows[: len(f) - 1]]
     ct = CycleType(p, tuple(sorted(parts)))
     if ct.degree != h.degree:
         raise ArithmeticError(f"factor degrees {ct.parts} do not add up to {h.degree}")

@@ -292,15 +292,30 @@ def test_no_module_imports_random():
 
 
 def test_cli_imports_one_entry_point_per_layer():
-    # the lattice and Galois reports are built in their own modules
+    # the construct, lattice and Galois reports are built in their own
+    # modules; cli.py builds no Check but the Galois verdict that verify
+    # lists apart from its witness block
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imported: dict = {}
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             imported.setdefault(node.module, []).extend(alias.name for alias in node.names)
     assert None not in imported  # no "from . import lattice"
     assert imported["lattice"] == ["lattice_checks"]
     assert imported["galois"] == ["galois_check"]
+    assert "model_degree_check" in imported["curve"]
     assert not hasattr(cli, "_galois_check")
+    builders = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Check"
+    }
+    assert builders == {"_verify"}
+    construct = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_construct")
+    attributes = {node.attr for node in ast.walk(construct) if isinstance(node, ast.Attribute)}
+    assert not attributes & {"q_form", "total_degree", "p_reduced", "g_cubic"}
 
 
 # each detailed lattice check, and the emitted check that reports its verdict
@@ -370,14 +385,14 @@ def _count_calls(monkeypatch, home, name: str) -> list:
 
 def test_verify_builds_each_form_once(monkeypatch, capsys):
     # verify reuses the bundle's v and w in the sextic certificate, the
-    # singular-cubic check and w's double vanishing; the two ranks are the
-    # cubic span and the independence of u and v
+    # singular-cubic check and w's double vanishing; the one rank is the
+    # independence of u and v
     v_calls = _count_calls(monkeypatch, curve, "build_v")
     w_calls = _count_calls(monkeypatch, curve, "build_w")
     rank_calls = _count_calls(monkeypatch, linalg, "q_rank")
     assert main(["verify", "--poly", X8_POLY]) == 0
     capsys.readouterr()
-    assert (len(v_calls), len(w_calls), len(rank_calls)) == (1, 1, 2)
+    assert (len(v_calls), len(w_calls), len(rank_calls)) == (1, 1, 1)
 
 
 def test_parser_reused_after_a_bad_command_line(capsys):
@@ -392,6 +407,22 @@ def test_parser_reused_after_a_bad_command_line(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
     assert main(["lattice", "--d", "3"]) == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "argv, merged",
+    [
+        (["verify", "--poly", "-1,2", "--format", "text"], ["verify", "--poly=-1,2", "--format", "text"]),
+        (["--poly", "--poly", "-1"], ["--poly=--poly", "-1"]),
+        (["--poly", "x", "--poly", "y"], ["--poly=x", "--poly=y"]),
+        (["galois", "--poly"], ["galois", "--poly"]),
+        (["--poly=-1", "--format"], ["--poly=-1", "--format"]),
+    ],
+)
+def test_poly_flag_takes_the_next_argument_whole(argv, merged):
+    # the value after --poly is joined to it even when it looks like a flag;
+    # a trailing --poly is left for argparse to reject
+    assert cli._merge_poly_flag(argv) == merged
 
 
 def test_help_twice(capsys):

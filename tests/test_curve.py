@@ -47,6 +47,7 @@ from delpezzo1.unipoly import CERT_PRIME
 from xyz_oracles import (
     apply_ops,
     constraint_rows,
+    cubic_space_rank,
     form_value,
     jacobian,
     multiplicity_report_xyz,
@@ -308,6 +309,13 @@ class TestWorkedPipeline:
         checks = verify_bundle(build_bundle(seed_x8))
         assert [c.name for c in checks if not c.passed] == []
 
+    def test_model_degree_check_reports_the_audit_trail(self, seed_x8):
+        bundle = build_bundle(seed_x8)
+        witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic}
+        assert curve.model_degree_check(bundle) == Check("model_degree_9", True, witness)
+        cubic = dataclasses.replace(bundle, q_form=bundle.u)
+        assert curve.model_degree_check(cubic) == Check("model_degree_9", False, witness)
+
 
 class TestBuildQ:
     """build_q clears denominators before expanding; the Jacobian oracle does not."""
@@ -375,6 +383,42 @@ class TestLinearSystems:
             seed = random_valid_seed(rng)
             basis = cubic_space(seed)
             assert forms_rank(basis + [U_FORM], 3) == forms_rank(basis, 3)
+
+
+class TestCubicSpaceCheck:
+    """verify_bundle evaluates u and v at the points; the oracle takes a rank."""
+
+    @staticmethod
+    def _cubic_check(bundle):
+        return next(c for c in verify_bundle(bundle) if c.name == "cubic_space_dimension")
+
+    @pytest.mark.parametrize("kind", ["small", "int100", "fraction"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_rank_oracle(self, kind, data):
+        seed = data.draw(seed_polys(kinds=(kind,)))
+        bundle = build_bundle(seed)
+        oracle = cubic_space_rank(seed, bundle.u, bundle.v)
+        assert oracle.passed
+        assert self._cubic_check(bundle) == oracle
+
+    @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
+    @pytest.mark.parametrize(
+        "wrong, passed",
+        [
+            (lambda u, v: u, True),
+            (lambda u, v: v * 2, True),
+            (lambda u, v: v + TriPoly.monomial((0, 0, 3)), False),
+        ],
+        ids=["v_is_u", "v_doubled", "v_off_the_points"],
+    )
+    def test_mutated_pencil_matches_the_rank_oracle(self, coeffs, wrong, passed):
+        # a v in the span passes, dependent on u or not; one off the points fails
+        bundle = build_bundle(validate_seed(coeffs))
+        mutated = dataclasses.replace(bundle, v=wrong(bundle.u, bundle.v))
+        oracle = cubic_space_rank(mutated.seed, mutated.u, mutated.v)
+        assert oracle.passed is passed
+        assert self._cubic_check(mutated) == oracle
 
 
 SEXTIC_OPS = ["", "x", "y"]

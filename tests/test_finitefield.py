@@ -11,6 +11,7 @@ from delpezzo1.finitefield import (
     PrimeSkip,
     ddf_degree_multiset,
     fp_divrem,
+    fp_gcd,
     fp_mulmod,
     fp_xpowmod,
     poly_mod_p,
@@ -238,6 +239,72 @@ def test_agreement_with_trial_division():
             done += 1
             checked += 1
     assert checked == sum(c for _, c in cases)
+
+
+def test_non_monic_agreement_with_trial_division():
+    # h mod p is the modulus as it stands, never made monic: a leading
+    # coefficient other than 1 mod p must give the degrees of h / lc(h)
+    rng = random.Random(43)
+    cases = [(p, 6) for p in (3, 5, 7)] + [(11, 2), (13, 2)]
+    checked = 0
+    for p, count in cases:
+        done = 0
+        while done < count:
+            deg = rng.randint(2, 8)
+            lead = rng.choice([c for c in range(-3 * p, 3 * p) if c % p not in (0, 1)])
+            h = UniPoly([rng.randint(-3 * p, 3 * p) for _ in range(deg)] + [lead])
+            try:
+                ct = ddf_degree_multiset(h, p)
+            except PrimeSkip:
+                continue
+            assert ct.parts == brute_factor_degrees(h, p), (h, p)
+            assert ddf_degree_multiset(h * Fraction(1, lead), p) == ct
+            done += 1
+            checked += 1
+    assert checked == sum(c for _, c in cases)
+
+
+def _irreducible(deg: int, p: int, rng: random.Random) -> UniPoly:
+    """A random monic irreducible of degree 2 or 3 over F_p: one without a root."""
+    while True:
+        f = [rng.randrange(p) for _ in range(deg)] + [1]
+        if all(sum(c * r**i for i, c in enumerate(f)) % p for r in range(p)):
+            return UniPoly(f)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_several_splits_of_a_known_factorization(p):
+    # three linear factors, an irreducible quadratic and cubic: f splits at
+    # stage 1 and again at stage 2, and the cubic is what is left; the
+    # integer lift has a leading coefficient other than 1 mod p
+    rng = random.Random(p)
+    for _ in range(5):
+        roots = rng.sample(range(p), 3)
+        h = UniPoly([rng.choice([2, 3, -1])])
+        for r in roots:
+            h = h * UniPoly([-r, 1])
+        h = h * _irreducible(2, p, rng) * _irreducible(3, p, rng)
+        lifted = UniPoly([int(c) + p * rng.randint(-5, 5) for c in h.coeffs[:-1]] + [h.lc])
+        assert ddf_degree_multiset(lifted, p) == CycleType(p, (1, 1, 1, 2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 499, 2**31 - 1)), st.data())
+def test_gcd_divides_both_and_has_sympys_degree(p, data):
+    import sympy as sp
+
+    polys = st.lists(st.integers(0, p - 1), max_size=6).map(lambda a: _reduce(a, p))
+    common, a, b = (data.draw(polys) for _ in range(3))
+    a, b = mul_oracle(common, a, p), mul_oracle(common, b, p)
+    g = fp_gcd(a, b, p)
+    if not a and not b:
+        assert g == []
+        return
+    assert g and g[-1] and all(0 <= c < p for c in g)
+    assert fp_divrem(a, g, p)[1] == [] and fp_divrem(b, g, p)[1] == []
+    t = sp.Symbol("t")
+    expected = sp.gcd(sp.Poly(a[::-1] or [0], t, modulus=p), sp.Poly(b[::-1] or [0], t, modulus=p))
+    assert len(g) - 1 == expected.degree()
 
 
 def _sympy_parts_or_skip(h, p):

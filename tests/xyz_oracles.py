@@ -5,7 +5,9 @@ gradient minor.  These oracles take every partial in x, y and z and all
 three gradient minors, so a test can assert that both give the same
 Checks.  The linear-system oracle solves the conditions at the points
 exactly over Q, where the library proves the sextic dimension instead;
-it imposes the z-partial on the sextic system explicitly.
+it imposes the z-partial on the sextic system explicitly.  The cubic
+oracle puts u and v in the span of the kernel by a rank over Q, where the
+library only evaluates them at the points.
 The evaluation oracles give the value of a polynomial or a form at a point,
 which the library itself never needs.  The Jacobian oracle expands the
 determinant on the forms as given, without clearing denominators first.
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
 from delpezzo1 import U_FORM, validate_seed
-from delpezzo1.curve import CurveBundle, SeedPoly, _monomials, forms_rank
+from delpezzo1.curve import CurveBundle, SeedPoly, _monomials, cubic_space, forms_rank
 from delpezzo1.linalg import q_kernel_basis
 from delpezzo1.quotient import common_factor, qr_reduce, tri_eval_param
 from delpezzo1.serialize import Check
@@ -138,3 +140,10 @@ def sextic_space_exact(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Ch
     forms = [u * u, u * v, v * v, w]
     basis = len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4
     return Check("sextic_space_dimension", basis, {"dimension": len(kernel)})
+
+
+def cubic_space_rank(seed: SeedPoly, u: TriPoly, v: TriPoly) -> Check:
+    """The cubic kernel's dimension, and u, v in its span: equal ranks with and without them."""
+    cubics = cubic_space(seed)
+    ok = len(cubics) == 2 and forms_rank(cubics + [u, v], 3) == 2
+    return Check("cubic_space_dimension", ok, {"dimension": len(cubics)})
