@@ -25,7 +25,7 @@ from .curve import (
     validate_seed,
     verify_bundle,
 )
-from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset
+from .finitefield import PrimeSkip, ddf_degree_multiset
 from .galois import GaloisCertificate, certify_galois, galois_check
 from .lattice import (
     IntLattice,

@@ -7,7 +7,6 @@ deliberately left out: at stage d the factor count is deg/d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING
 
@@ -19,22 +18,6 @@ FpPoly = list[int]  # ascending coefficients in [0, p)
 
 class PrimeSkip(Exception):
     """The prime is unusable for this polynomial; sample another one."""
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Multiset of irreducible factor degrees of a seed modulo a prime."""
-
-    prime: int
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if tuple(sorted(self.parts)) != self.parts:
-            raise ValueError("parts must be sorted ascending")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
 
 
 def _trim(f: FpPoly) -> FpPoly:
@@ -120,8 +103,8 @@ def _frobenius(a: FpPoly, rows: list[FpPoly], p: int) -> FpPoly:
     return _trim([c % p for c in out])
 
 
-def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
-    """Degree multiset of the irreducible factors of h mod p.
+def ddf_degree_multiset(h: UniPoly, p: int) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of h mod p, sorted ascending.
 
     Runs distinct-degree factorization: at stage d, gcd(f, x^(p^d) - x)
     collects every irreducible factor of degree dividing d; after the
@@ -162,10 +145,10 @@ def ddf_degree_multiset(h: UniPoly, p: int) -> CycleType:
             f, r = fp_divrem(f, g, p)
             if r:
                 raise ArithmeticError("inexact division over F_p")
-    ct = CycleType(p, tuple(sorted(parts)))
-    if ct.degree != h.degree:
-        raise ArithmeticError(f"factor degrees {ct.parts} do not add up to {h.degree}")
-    return ct
+    parts.sort()
+    if sum(parts) != h.degree:
+        raise ArithmeticError(f"factor degrees {tuple(parts)} do not add up to {h.degree}")
+    return tuple(parts)
 
 
 def primes_up_to(bound: int) -> list[int]:

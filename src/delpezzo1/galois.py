@@ -17,11 +17,11 @@ never complete; running out of primes yields "inconclusive", not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .curve import SeedPoly
-from .finitefield import CycleType, PrimeSkip, ddf_degree_multiset, primes_up_to
+from .finitefield import PrimeSkip, ddf_degree_multiset, primes_up_to
 from .linalg import frac_is_square
 from .serialize import Check
 
@@ -37,7 +37,7 @@ class GaloisCertificate:
     five_cycle_prime: int | None
     discriminant_is_square: bool
     discriminant: Fraction
-    sampled_cycle_types: tuple[CycleType, ...]
+    sampled_cycle_types: tuple[dict, ...]  # {"prime": p, "parts": factor degrees mod p}
 
     @property
     def certified(self) -> bool:
@@ -57,16 +57,16 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
     square = frac_is_square(disc)
     transitivity: int | None = None
     five_cycle: int | None = None
-    sampled: list[CycleType] = []
+    sampled: list[dict] = []
     for p in primes_up_to(prime_bound):
         try:
-            ct = ddf_degree_multiset(h, p)
+            parts = ddf_degree_multiset(h, p)
         except PrimeSkip:
             continue
-        sampled.append(ct)
-        if transitivity is None and ct.parts == (8,):
+        sampled.append({"prime": p, "parts": parts})
+        if transitivity is None and parts == (8,):
             transitivity = p
-        if five_cycle is None and 5 in ct.parts:
+        if five_cycle is None and 5 in parts:
             five_cycle = p
         if transitivity is not None and five_cycle is not None:
             break
@@ -87,12 +87,5 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
 def galois_check(seed: SeedPoly, prime_bound: int) -> Check:
     """The certificate as the `galois_certified` check, its witness in plain values."""
     cert = certify_galois(seed, prime_bound)
-    witness = {
-        "verdict": cert.verdict,
-        "transitivity_prime": cert.transitivity_prime,
-        "five_cycle_prime": cert.five_cycle_prime,
-        "discriminant_is_square": cert.discriminant_is_square,
-        "discriminant": cert.discriminant,
-        "sampled_cycle_types": [{"prime": ct.prime, "parts": ct.parts} for ct in cert.sampled_cycle_types],
-    }
+    witness = {f.name: getattr(cert, f.name) for f in fields(cert)}
     return Check("galois_certified", cert.certified, witness)

@@ -104,13 +104,16 @@ def _ldl(a: list[list[Fraction]]) -> list[list[Fraction]]:
 
     Afterwards q[i][i] are the positive diagonal weights and q[i][j]
     (j > i) the mixing coefficients of Q(x) = sum_i q_ii (x_i + sum_{j>i}
-    q_ij x_j)^2.
+    q_ij x_j)^2.  A pivot q[i][i] <= 0 raises ValueError; by Sylvester's
+    criterion one occurs exactly when the matrix is not positive definite,
+    that is, when the lattice whose negated Gram matrix it is is not
+    negative definite.
     """
     n = len(a)
     q = [row[:] for row in a]
     for i in range(n):
         if q[i][i] <= 0:
-            raise ValueError("matrix is not positive definite")
+            raise ValueError("lattice is not negative definite")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
@@ -132,9 +135,6 @@ def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
     """
     n = lat.rank
     neg = [[Fraction(-lat.gram[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if neg[i][i] <= 0:
-            raise ValueError("lattice is not negative definite")
     q = _ldl(neg)
     target = -norm
     if target < 0:

@@ -17,21 +17,11 @@ Every decision is taken in exact arithmetic; no root is ever computed.
 
 from __future__ import annotations
 
-from math import comb
-
-from .curve import SeedPoly, U_FORM, _xy_partials
+from .curve import SeedPoly, U_FORM
 from .quotient import common_factor, tri_eval_param
 from .serialize import Check
 from .tripoly import TriPoly
-from .unipoly import (
-    _exact_quotient,
-    binomial_convolution,
-    distinct_pair_sum_poly,
-    from_power_sums,
-    power_sums,
-    root_denominator,
-    root_sum_poly,
-)
+from .unipoly import distinct_pair_sum_poly, distinct_triple_sum_poly
 
 
 def check_three_collinear(seed: SeedPoly) -> Check:
@@ -56,32 +46,13 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     without building any composed-sum polynomial in the fast path.  If
     T(0) != 0 no triple at all sums to zero and we are done.  Otherwise
     some triple WITH REPEATS may be responsible, so the degenerate patterns
-    are split off.  With E(s) covering the sums 2a + c (degree 64) and
-    h3(s) the sums 3a, ordered triples partition as
-
-        T = g^6 * (E / h3)^3 * h3,
-
-    where g is the monic degree-56 polynomial of the C(8, 3) sums of
-    distinct unordered triples: each unordered triple appears in six
-    orders, each of the three "two equal" patterns contributes E/h3 and
-    the "all equal" pattern contributes h3.  T itself is never built; on
-    the root power sums p_k the partition reads
-
-        p_k(T) = 6 p_k(g) + 3 p_k(E/h3) + p_k(h3),
-
-    and p_k(T) is the binomial convolution p (x) (p (x) p) of the root
-    power sums of h with themselves, so g follows from its power sums up
-    to k = 56 (the composed-sum method of Bostan, Flajolet, Salvy and
-    Schost).  E/h3 is an exact division, which raises ArithmeticError if
-    h3 does not divide E.
-
-    The deflated branch runs on Python ints: it scales the roots of h by
-    D = root_denominator(h) (D = 1 for an integer seed), so h_D = D^8 h(t/D)
-    and every polynomial above is monic with integer coefficients, and the
-    division by 6 is checked like those in from_power_sums.  The test is
-    g(0) != 0; the witness scales back exactly, reporting
-    T_distinct(0) = g(0)^6 = (g_D(0) / D^56)^6, with the degrees of T, E,
-    h3 and T_distinct.
+    are set aside: the deflated branch takes g = distinct_triple_sum_poly(h),
+    the monic degree-56 polynomial of the C(8, 3) sums of distinct
+    unordered triples, whose docstring splits T into g^6 and the repeated
+    patterns.  The test is g(0) != 0.  The witness reports
+    T_distinct(0) = g(0)^6 and the degrees of T, of E (the sums 2a + c),
+    of h3 (the sums 3a) and of T_distinct: n^3, n^2, n and 6 deg g for
+    n = deg h.
     """
     h = seed.h
     doubled = h.resultant(h.scale_roots(-2))
@@ -93,25 +64,15 @@ def check_three_collinear(seed: SeedPoly) -> Check:
                 True,
                 {"path": "fast", "triple_product": doubled * distinct_pairs**2},
             )
-    count = comb(h.degree, 3)
-    d = root_denominator(h)
-    h_d = h.scale_roots(d)
-    twice_plus = root_sum_poly(h_d.scale_roots(2), h_d)
-    h3 = h_d.scale_roots(3)
-    p = power_sums(h_d, count)
-    ordered = binomial_convolution(p, binomial_convolution(p, p))
-    two_equal = power_sums(twice_plus.exact_div(h3), count)
-    all_equal = power_sums(h3, count)
-    distinct = from_power_sums(
-        [_exact_quotient(t - 3 * e - a, 6) for t, e, a in zip(ordered, two_equal, all_equal)], count
-    )
+    n = h.degree
+    distinct = distinct_triple_sum_poly(h)
     degrees = {
-        "triple_sums": h.degree**3,
-        "degenerate_pairs": twice_plus.degree,
-        "triple_roots": h3.degree,
+        "triple_sums": n**3,
+        "degenerate_pairs": n**2,
+        "triple_roots": n,
         "distinct_triples": 6 * distinct.degree,
     }
-    value = (distinct.coeff(0) / d**distinct.degree) ** 6
+    value = distinct.coeff(0) ** 6
     return Check(
         "no_three_collinear",
         value != 0,
@@ -143,8 +104,8 @@ def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
     itself as v is the rank-1 negative control.
     """
     h = seed.h
-    ux, uy = (tri_eval_param(f, h) for f in _xy_partials(U_FORM, 1)[1:])
-    vx, vy = (tri_eval_param(f, h) for f in _xy_partials(v, 1)[1:])
+    ux, uy = (tri_eval_param(U_FORM.derivative(s), h) for s in "xy")
+    vx, vy = (tri_eval_param(v.derivative(s), h) for s in "xy")
     g = common_factor(h, [(ux * vy - uy * vx) % h])
     return Check(
         "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping
 
-from .unipoly import UniPoly, Scalar, _frac
+from .unipoly import UniPoly, Scalar, as_fraction
 
 Exponent = tuple[int, int, int]
 
@@ -49,7 +49,7 @@ class TriPoly:
         for e, c in terms.items():
             if not (isinstance(e, tuple) and len(e) == 3 and all(isinstance(k, int) and k >= 0 for k in e)):
                 raise ValueError(f"exponent {e!r} is not a triple of non-negative ints")
-            c = _frac(c)
+            c = as_fraction(c)
             if c:
                 d[e] = c.numerator if c.denominator == 1 else c
         self.terms = d
@@ -79,7 +79,7 @@ class TriPoly:
         return max((i for (i, _, _) in self.terms), default=-1)
 
     def coeff(self, e: Exponent) -> Fraction:
-        return _frac(self.terms.get(tuple(e), 0))
+        return as_fraction(self.terms.get(tuple(e), 0))
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in descending graded-lex order, leading term first."""
@@ -89,7 +89,7 @@ class TriPoly:
         if not self.terms:
             raise ValueError("zero form has no leading term")
         e = max(self.terms, key=grlex_key)
-        return e, _frac(self.terms[e])
+        return e, as_fraction(self.terms[e])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TriPoly):

@@ -24,7 +24,8 @@ Scalar = int | Fraction
 CERT_PRIME = 2**31 - 1
 
 
-def _frac(c) -> Fraction:
+def as_fraction(c) -> Fraction:
+    """c itself if it is a Fraction, else Fraction(c)."""
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
@@ -34,7 +35,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar | str] = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -133,7 +134,7 @@ class UniPoly:
 
     def scale_roots(self, k: Scalar) -> UniPoly:
         """Return k^deg * f(t/k): the polynomial whose roots are k times ours."""
-        k = _frac(k)
+        k = as_fraction(k)
         if k == 0:
             raise ValueError("scale_roots requires a nonzero factor")
         if k == 1:
@@ -297,9 +298,8 @@ def power_sums(f: UniPoly, count: int) -> list[int]:
     """Power sums p_0..p_count of the roots of f (with multiplicity), as ints.
 
     The monic form of f must have integer coefficients, else ValueError.
-    The root-sum polynomials and the deflated branch of
-    check_three_collinear bring a rational f there by scaling its roots by
-    D = root_denominator(f).
+    The root-sum polynomials bring a rational f there by scaling its roots
+    by D = root_denominator(f).
     Newton's identities then need no division; p_0 = deg f.
     """
     if f.is_zero:
@@ -394,4 +394,44 @@ def distinct_pair_sum_poly(f: UniPoly) -> UniPoly:
     d = root_denominator(f)
     ps = power_sums(f.scale_roots(d), count)
     sums = distinct_pair_power_sums(binomial_convolution(ps, ps), ps)
+    return from_power_sums(sums, count).scale_roots(Fraction(1, d))
+
+
+def distinct_triple_sum_poly(f: UniPoly) -> UniPoly:
+    """Monic polynomial whose roots are a+b+c over the C(n, 3) triples of distinct roots of f.
+
+    Let T(s) run over the sums a+b+c of all n^3 ordered root triples,
+    E(s) over the n^2 sums 2a + c and h3(s) over the n sums 3a.  Ordered
+    triples partition as
+
+        T = g^6 * (E / h3)^3 * h3,
+
+    where g is the polynomial returned here: each unordered triple of
+    distinct roots appears in six orders, each of the three "two equal"
+    patterns contributes E/h3 and the "all equal" pattern contributes h3.
+    T itself is never built; on the root power sums p_k the partition reads
+
+        p_k(T) = 6 p_k(g) + 3 p_k(E/h3) + p_k(h3),
+
+    and p_k(T) is the binomial convolution p (x) (p (x) p) of the root
+    power sums of f with themselves, so g follows from its power sums up
+    to k = C(n, 3) (the composed-sum method of Bostan, Flajolet, Salvy and
+    Schost).  E = root_sum_poly(f.scale_roots(2), f), and E/h3 is an exact
+    division, which raises ArithmeticError if h3 does not divide E.
+
+    The arithmetic runs on Python ints: the roots of f are scaled by
+    D = root_denominator(f), so the monic form of every polynomial above
+    has integer coefficients, the division by 6 is checked like those in
+    from_power_sums, and the result is scaled back by 1/D.  Repeated roots
+    are taken by position, as in distinct_pair_sum_poly.
+    """
+    count = math.comb(f.degree, 3)
+    d = root_denominator(f)
+    f_d = f.scale_roots(d)
+    h3 = f_d.scale_roots(3)
+    ps = power_sums(f_d, count)
+    ordered = binomial_convolution(ps, binomial_convolution(ps, ps))
+    two_equal = power_sums(root_sum_poly(f_d.scale_roots(2), f_d).exact_div(h3), count)
+    all_equal = power_sums(h3, count)
+    sums = [_exact_quotient(t - 3 * e - a, 6) for t, e, a in zip(ordered, two_equal, all_equal)]
     return from_power_sums(sums, count).scale_roots(Fraction(1, d))

@@ -291,6 +291,22 @@ def test_no_module_imports_random():
     assert offenders == []
 
 
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # each layer hands its siblings finished values through public names;
+    # tests may still reach private helpers
+    paths = sorted(Path(delpezzo1.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    offenders = [
+        (path.name, node.module, alias.name)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("delpezzo1"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert offenders == []
+
+
 def test_cli_imports_one_entry_point_per_layer():
     # the construct, lattice and Galois reports are built in their own
     # modules; cli.py builds no Check but the Galois verdict that verify

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from delpezzo1.unipoly import (
     binomial_convolution,
     distinct_pair_power_sums,
     distinct_pair_sum_poly,
+    distinct_triple_sum_poly,
     from_power_sums,
     power_sums,
     root_denominator,
@@ -512,6 +514,40 @@ class TestDistinctPairSumPoly:
             distinct_pair_power_sums([2, 1], [2, 0])
         ps = power_sums(split_poly([3, -5]), 1)
         assert distinct_pair_power_sums(binomial_convolution(ps, ps), ps) == [1, -2]
+
+
+class TestDistinctTripleSumPoly:
+    # the product of (t - (a+b+c)) over the C(8, 3) = 56 triples, expanded in Fractions
+    ROOT_SETS = {
+        "integer": [1, -3, 5, 8, 13, -21, 34, -6],
+        "rational, D > 1": [Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 6), -11, Fraction(3, 7), 4, Fraction(-9, 14)],
+        "pair {a, -2a}": [3, -6, 1, 10, 17, -23, 29, 41],
+        "rational pair {a, -2a}": [Fraction(2, 5), Fraction(-4, 5), 1, 6, Fraction(-7, 3), 11, Fraction(13, 2), -19],
+        "zero-sum triple": [2, 5, -7, 11, 19, -30, 43, 57],
+    }
+
+    @pytest.mark.parametrize("roots", ROOT_SETS.values(), ids=list(ROOT_SETS))
+    def test_matches_product_over_distinct_triples(self, roots):
+        brute = split_poly([a + b + c for a, b, c in combinations(roots, 3)])
+        g = distinct_triple_sum_poly(split_poly(roots))
+        assert g == brute
+        assert g.degree == 56
+        assert (g.coeff(0) == 0) == any(a + b + c == 0 for a, b, c in combinations(roots, 3))
+
+    def test_root_sets_cover_the_cases(self):
+        sets = self.ROOT_SETS
+        assert root_denominator(split_poly(sets["rational, D > 1"])) > 1
+        assert root_denominator(split_poly(sets["rational pair {a, -2a}"])) > 1
+        for name in ("pair {a, -2a}", "rational pair {a, -2a}"):
+            assert any(-2 * a in sets[name] for a in sets[name]), name
+        for name in ("integer", "rational, D > 1"):
+            assert not any(-2 * a in sets[name] for a in sets[name]), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(int_roots, rational_roots), st.sampled_from([1, -2, Fraction(3, 7)]))
+    def test_repeated_roots_count_by_position(self, roots, lead):
+        brute = split_poly([a + b + c for a, b, c in combinations(roots, 3)])
+        assert distinct_triple_sum_poly(split_poly(roots) * lead) == brute
 
 
 def test_operations_are_deterministic():
