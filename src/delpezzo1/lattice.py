@@ -3,7 +3,8 @@
 Covers the rank-(10-d) odd hyperbolic lattice with its distinguished
 vector omega = -3 e_0 + e_1 + ... + e_{9-d}, the orthogonal complement
 (the E8 or E7 root lattice with reversed sign), short-vector enumeration
-with integer isqrt bounds, and four checks returned as
+from one fraction-free elimination of the Gram matrix with integer isqrt
+bounds, and four checks returned as
 :class:`~delpezzo1.serialize.Check` values: the mod-2 identification of
 the complement with F2^8, the blow-up model of the rank-9 Picard lattice,
 the mod-2 quadratic-form census, and the independence lemma for tuples
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .linalg import bareiss_det, f2_det, f2_rank, int_functional_kernel
 from .serialize import Check
@@ -43,6 +44,10 @@ class IntLattice:
 
     def pair(self, x: Vector, y: Vector) -> int:
         return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
+
+    def gram_of(self, vs: Sequence[Vector]) -> Matrix:
+        """The Gram matrix of the given vectors."""
+        return tuple(tuple(self.pair(a, b) for b in vs) for a in vs)
 
     @property
     def determinant(self) -> int:
@@ -92,60 +97,47 @@ def orth_complement(lat: IntLattice, v: Vector) -> Sublattice:
     g = math.gcd(*w)
     basis = int_functional_kernel([c // g for c in w])
     vecs = tuple(tuple(b) for b in basis)
-    gram = tuple(tuple(lat.pair(a, b) for b in vecs) for a in vecs)
-    return Sublattice(IntLattice(len(vecs), gram), vecs)
+    return Sublattice(IntLattice(len(vecs), lat.gram_of(vecs)), vecs)
 
 
 # -- short vectors ---------------------------------------------------------
 
 
-def _ldl(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """In-place Lagrange reduction of a positive definite matrix.
-
-    Afterwards q[i][i] are the positive diagonal weights and q[i][j]
-    (j > i) the mixing coefficients of Q(x) = sum_i q_ii (x_i + sum_{j>i}
-    q_ij x_j)^2.  A pivot q[i][i] <= 0 raises ValueError; by Sylvester's
-    criterion one occurs exactly when the matrix is not positive definite,
-    that is, when the lattice whose negated Gram matrix it is is not
-    negative definite.
-    """
-    n = len(a)
-    q = [row[:] for row in a]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("lattice is not negative definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
-
-
 def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
     """All vectors of the given self-pairing in a negative definite lattice.
 
-    Fincke-Pohst depth-first search on Python ints.  Scaling the Lagrange
-    decomposition of the negated Gram matrix by one common M turns every
-    level into s = x_i * den_i + c_i and a weight w_i with
-    Q(x) * M = sum_i w_i s_i^2, all integers, so the bound on s_i is an
+    Fincke-Pohst depth-first search on Python ints.  A Bareiss elimination
+    of A = -Gram without pivoting leaves row i as U_i, with U_i[i] the
+    leading minor Delta_(i+1) of A, and with Delta_0 = 1
+
+        Q(x) = -(x, x) = sum_i (U_i . x)^2 / (Delta_i Delta_(i+1)).
+
+    A pivot Delta_(i+1) <= 0 raises ValueError; by Sylvester's criterion
+    one occurs exactly when the lattice is not negative definite.  Scaled
+    by M = lcm_i Delta_i Delta_(i+1), level i is s_i = U_i . x with the
+    integer weight M / (Delta_i Delta_(i+1)), so the bound on s_i is an
     isqrt; no floating point enters any comparison.  The zero vector is
     never reported.
     """
     n = lat.rank
-    neg = [[Fraction(-lat.gram[i][j]) for j in range(n)] for i in range(n)]
-    q = _ldl(neg)
+    a = [[-c for c in row] for row in lat.gram]
+    minors = [1]
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            raise ValueError("lattice is not negative definite")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // minors[k]
+        minors.append(pivot)
     target = -norm
     if target < 0:
         return []
-    # row i: x_i + sum_{j>i} q_ij x_j = (x_i * cden[i] + sum_j coef[i][j] x_j) / cden[i]
-    cden = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    coef = [[int(q[i][j] * cden[i]) for j in range(i + 1, n)] for i in range(n)]
-    scale = math.lcm(*(q[i][i].denominator * cden[i] ** 2 for i in range(n)))
-    weight = [int(q[i][i] * scale) // cden[i] ** 2 for i in range(n)]
+    dens = [minors[i] * minors[i + 1] for i in range(n)]
+    scale = math.lcm(*dens)
+    levels = [(minors[i + 1], scale // den, a[i][i + 1 :]) for i, den in enumerate(dens)]
     found: list[Vector] = []
-    _descend(list(zip(cden, weight, coef)), n - 1, target * scale, [0] * n, found)
+    _descend(levels, n - 1, target * scale, [0] * n, found)
     return sorted(found)
 
 
@@ -205,9 +197,9 @@ def _mask(v: Vector) -> int:
     return sum((c & 1) << i for i, c in enumerate(v))
 
 
-def _mod2_gram_rows(lat: IntLattice, vs: list[Vector]) -> list[int]:
-    """Row i has bit j set when (vs[i], vs[j]) is odd."""
-    return [sum((lat.pair(a, b) & 1) << j for j, b in enumerate(vs)) for a in vs]
+def _mod2_gram_rows(gram: Matrix) -> list[int]:
+    """The mod-2 reduction of a Gram matrix: row i has bit j set when gram[i][j] is odd."""
+    return [_mask(row) for row in gram]
 
 
 def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
@@ -250,7 +242,7 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
             "equivariant_swap": stable[0],
             "equivariant_cycle": stable[1],
             "all_ones_fixed": fixed,
-            "induced_form_rows": tuple(_mod2_gram_rows(lat, lifts)),
+            "induced_form_rows": tuple(_mod2_gram_rows(lat.gram_of(lifts))),
         },
     )
 
@@ -262,7 +254,8 @@ def picard_model_check(marked: MarkedLattice) -> Check:
     f_0^2 = 1 and l_b^2 = -1, and omega the canonical class
     K = -3 f_0 + sum l_b.  The vectors v_i = l_i + K pair to -2 on the
     diagonal and -1 off it, and their mod-2 images are linearly independent
-    with a nonsingular all-ones-off-diagonal pairing matrix.
+    with a nonsingular all-ones-off-diagonal pairing matrix.  Every
+    identity on the v_i is read from their one Gram matrix.
     """
     lat, k = marked.lattice, marked.omega
     n = lat.rank - 1
@@ -271,13 +264,12 @@ def picard_model_check(marked: MarkedLattice) -> Check:
         v = list(k)
         v[i] += 1
         vs.append(tuple(v))
+    gram = lat.gram_of(vs)
     kk = lat.pair(k, k)
-    diag = tuple(lat.pair(v, v) for v in vs)
-    off_ok = all(
-        lat.pair(vs[i], vs[j]) == -1 for i in range(n) for j in range(n) if i != j
-    )
+    diag = tuple(gram[i][i] for i in range(n))
+    off_ok = all(gram[i][j] == -1 for i in range(n) for j in range(n) if i != j)
     independent = f2_rank([_mask(v) for v in vs]) == n
-    det = f2_det(_mod2_gram_rows(lat, vs), n)
+    det = f2_det(_mod2_gram_rows(gram), n)
     return Check(
         "picard_gram",
         kk == 1 and all(v == -2 for v in diag) and off_ok and independent and det == 1,
@@ -327,7 +319,7 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
 
     # odd[m] has bit j set when (e_j, m) is odd, the XOR of the mod-2 Gram
     # rows over the bits of m; it is 0 when every class pairs evenly with m
-    rows2 = [_mask(row) for row in g]
+    rows2 = _mod2_gram_rows(g)
     odd = {}
     for m in root_masks:
         acc = 0

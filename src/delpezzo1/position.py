@@ -17,8 +17,8 @@ Every decision is taken in exact arithmetic; no root is ever computed.
 
 from __future__ import annotations
 
-from .curve import SeedPoly, U_FORM
-from .quotient import common_factor, tri_eval_param
+from .curve import SeedPoly
+from .quotient import common_factor
 from .serialize import Check
 from .tripoly import TriPoly
 from .unipoly import distinct_pair_sum_poly, distinct_triple_sum_poly
@@ -100,13 +100,13 @@ def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
     dependent at some point P.  Both vanish at P, so by Euler's relation
     both gradients are orthogonal to P, whose z is 1; such a vector is
     fixed by its x and y entries, so the gradients are dependent iff the
-    one x/y minor u_x v_y - u_y v_x shares a root with h.  Passing u
-    itself as v is the rank-1 negative control.
+    one x/y minor u_x v_y - u_y v_x shares a root with h.  At (t^3, t, 1)
+    u_x = z^2 is 1 and u_y = -3y^2 is -3t^2, so by the chain rule the minor
+    is v_y + 3t^2 v_x = d/dt v(t^3, t, 1).  Passing u itself as v is the
+    rank-1 negative control.
     """
     h = seed.h
-    ux, uy = (tri_eval_param(U_FORM.derivative(s), h) for s in "xy")
-    vx, vy = (tri_eval_param(v.derivative(s), h) for s in "xy")
-    g = common_factor(h, [(ux * vy - uy * vx) % h])
+    g = common_factor(h, [v.param_eval().derivative() % h])
     return Check(
         "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}
     )

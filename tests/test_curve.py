@@ -699,6 +699,23 @@ def test_verify_bundle_flags_degenerate_model(seed_x8):
     assert "model_degree" in [c.name for c in checks if not c.passed]
 
 
+@pytest.mark.parametrize(
+    "model, failed",
+    [(U_FORM**2 * TriPoly.monomial((0, 0, 3)), "xx"), (TriPoly.monomial((9, 0, 0)), "value")],
+    ids=["u2_z3", "x9"],
+)
+def test_sextic_premises_do_not_imply_order_2_for_another_q(seed_x8, model, failed):
+    # u, v and w are intact, so the sextic premises hold; Q is a degree-9
+    # form other than J(u, v, w), and its own partials decide order 2
+    bundle = dataclasses.replace(build_bundle(seed_x8), q_form=model)
+    checks = {c.name: c for c in verify_bundle(bundle)}
+    assert checks["sextic_space_dimension"].passed
+    order2 = checks["vanishing_to_order_2"]
+    assert not order2.passed and order2.witness == {"failed_derivative": failed}
+    want = multiplicity_report_xyz(bundle)
+    assert [checks[c.name] for c in want] == want
+
+
 def test_verify_bundle_flags_w_outside_the_sextic_system(seed_x8):
     # w + z^6 no longer vanishes at the points, so u^2, uv, v^2 and it are
     # not a basis of the system, still of dimension 4

@@ -89,10 +89,22 @@ class TestShortVectors:
         comp = orth_complement(marked.lattice, marked.omega)
         assert enumerate_short_vectors(comp.lattice, 0) == []
 
+    def test_positive_norm_is_empty(self):
+        marked = build_hyperbolic(1)
+        comp = orth_complement(marked.lattice, marked.omega)
+        assert enumerate_short_vectors(comp.lattice, 2) == []
+
     def test_indefinite_rejected(self):
         lat = build_hyperbolic(1).lattice
         with pytest.raises(ValueError):
             enumerate_short_vectors(lat, -2)
+
+    @pytest.mark.parametrize("gram", [((-1, -1), (-1, -1)), ((-1, -2), (-2, -1))])
+    @pytest.mark.parametrize("norm", [-2, 2])
+    def test_later_leading_minor_rejected(self, gram, norm):
+        # the first pivot is positive; the second leading minor is 0 or -3
+        with pytest.raises(ValueError, match="not negative definite"):
+            enumerate_short_vectors(IntLattice(2, gram), norm)
 
     def test_antipodal_closure(self):
         marked = build_hyperbolic(1)

@@ -27,7 +27,8 @@ from delpezzo1 import (
     position_checks,
     validate_seed,
 )
-from delpezzo1.quotient import tri_eval_param
+from delpezzo1.quotient import common_factor, tri_eval_param
+from delpezzo1.tripoly import TriPoly
 from xyz_oracles import check_singular_cubic_xyz, oracle_seeds
 from delpezzo1.unipoly import UniPoly, distinct_pair_sum_poly, root_sum_poly
 
@@ -193,9 +194,22 @@ class TestSingularCubic:
     def test_matches_the_three_minor_oracle(self):
         # one x/y minor gives the same Check as all three x/y/z minors
         for seed in oracle_seeds():
-            for v in (build_v(seed), U_FORM):
+            cubic = build_v(seed)
+            for v in (cubic, U_FORM, cubic * 2, cubic + U_FORM):
                 got, want = check_singular_cubic(seed, v), check_singular_cubic_xyz(seed, v)
                 assert (got.name, got.passed, got.witness) == (want.name, want.passed, want.witness)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed_polys(), st.lists(st.integers(-5, 5), min_size=10, max_size=10))
+    def test_parametric_derivative_is_the_gradient_minor(self, seed, coeffs):
+        # d/dt v(t^3, t, 1) = u_x v_y - u_y v_x at the points, for any cubic v
+        mons = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+        v = TriPoly(dict(zip(mons, coeffs)))
+        h = seed.h
+        ux, uy = (tri_eval_param(U_FORM.derivative(s), h) for s in "xy")
+        vx, vy = (tri_eval_param(v.derivative(s), h) for s in "xy")
+        g = common_factor(h, [(ux * vy - uy * vx) % h])
+        assert check_singular_cubic(seed, v).witness == {"dependent_gradient_factor": g}
 
 
 class TestNegativeControlsAreIsolated:
