@@ -1,10 +1,14 @@
 import ast
+import contextlib
 import dataclasses
+import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from conftest import COLLINEAR_BAD, FRACTION_AT_CAP, INT_AT_CAP, X8_COEFFS
 import delpezzo1
 from delpezzo1 import cli, curve, galois, lattice, linalg
 from delpezzo1.cli import main
+from xyz_oracles import canonical_json_two_step, text_two_step
 
 X8_POLY = ",".join(str(c) for c in X8_COEFFS)
 
@@ -371,6 +376,48 @@ def test_unrenderable_witness_exits_3(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err == "error: TypeError: no JSON form for object\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-string digit limit")
+@pytest.mark.parametrize("tall", [10**4400, Fraction(-(10**4400), 3)], ids=["int", "Fraction"])
+def test_witness_over_the_digit_limit_exits_3(tall, monkeypatch, capsys):
+    certify = galois.certify_galois
+
+    def tall_witness(seed, prime_bound):
+        return dataclasses.replace(certify(seed, prime_bound), discriminant=tall)
+
+    monkeypatch.setattr(galois, "certify_galois", tall_witness)
+    for fmt, oracle in (("json", canonical_json_two_step), ("text", text_two_step)):
+        with pytest.raises(ValueError) as expected:
+            oracle({"discriminant": tall})
+        code = main(["galois", "--poly", X8_POLY, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == f"error: ValueError: {expected.value}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--poly", X8_POLY], ["position", "--poly", X8_POLY], ["lattice", "--d", "2"]],
+    ids=["verify", "position", "lattice"],
+)
+def test_a_call_leaves_no_cyclic_garbage(argv, fmt):
+    # cyclic garbage waits for a full collection, which raises the peak memory
+    argv = [*argv, "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)  # warm-up: builds the cached parser
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    assert garbage == []
 
 
 @pytest.mark.parametrize("case", DIGESTS, ids=lambda case: " ".join(case["argv"]))

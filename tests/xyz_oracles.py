@@ -11,11 +11,14 @@ library only evaluates them at the points.
 The evaluation oracles give the value of a polynomial or a form at a point,
 which the library itself never needs.  The Jacobian oracle expands the
 determinant on the forms as given, without clearing denominators first.
+The rendering oracles copy a payload to JSON values first and then call
+json.dumps, where the library writes the raw values in one walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import perm
@@ -147,3 +150,48 @@ def cubic_space_rank(seed: SeedPoly, u: TriPoly, v: TriPoly) -> Check:
     cubics = cubic_space(seed)
     ok = len(cubics) == 2 and forms_rank(cubics + [u, v], 3) == 2
     return Check("cubic_space_dimension", ok, {"dimension": len(cubics)})
+
+
+def jsonable(value):
+    """JSON-ready copy of a payload of dicts, lists, tuples, ints, strings and None.
+
+    Fractions become decimal strings, a UniPoly its ascending coefficient
+    strings ([] for zero), a TriPoly its monomial list
+    [{"e": [i, j, k], "c": "coeff"}, ...], leading term first; any other
+    type raises TypeError.
+    """
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, UniPoly):
+        return [str(c) for c in value.coeffs]
+    if isinstance(value, TriPoly):
+        return [{"e": list(e), "c": str(c)} for e, c in value.sorted_terms()]
+    if value is None or isinstance(value, (int, str)):
+        return value
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def canonical_json_two_step(payload: dict) -> str:
+    """The canonical JSON through a jsonable copy and json.dumps(indent=2)."""
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def _flatten_two_step(prefix: str, value, out: list[str]):
+    if isinstance(value, dict):
+        for k in sorted(value):
+            _flatten_two_step(f"{prefix}.{k}" if prefix else str(k), value[k], out)
+    elif isinstance(value, list):
+        out.append(f"{prefix} = {json.dumps(value, sort_keys=True)}")
+    else:
+        out.append(f"{prefix} = {json.dumps(value)}")
+
+
+def text_two_step(payload: dict) -> str:
+    """The text rendering of a jsonable copy, its leaves through json.dumps."""
+    lines: list[str] = []
+    _flatten_two_step("", jsonable(payload), lines)
+    return "\n".join(lines) + "\n"
