@@ -16,6 +16,7 @@ import functools
 import sys
 
 from .curve import (
+    U_FORM,
     SeedError,
     SeedPoly,
     build_bundle,
@@ -40,7 +41,7 @@ MAX_PRIME_BOUND = 10_000
 
 
 def _forms(bundle) -> dict:
-    return {"u": bundle.u, "v": bundle.v, "w": bundle.w, "Q": bundle.q_form}
+    return {"u": U_FORM, "v": bundle.v, "w": bundle.w, "Q": bundle.q_form}
 
 
 def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:

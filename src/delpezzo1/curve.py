@@ -139,7 +139,6 @@ class CurveBundle:
     """Constructed forms plus the intermediate data worth auditing."""
 
     seed: SeedPoly
-    u: TriPoly
     v: TriPoly
     w: TriPoly
     q_form: TriPoly
@@ -165,19 +164,19 @@ def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, UniPoly]:
     return w, g_cubic, p_reduced
 
 
-def build_q(u: TriPoly, v: TriPoly, w: TriPoly) -> TriPoly:
-    """Jacobian determinant of (u, v, w), rows in that order.
+def build_q(v: TriPoly, w: TriPoly) -> TriPoly:
+    """Jacobian determinant of (U_FORM, v, w), rows in that order.
 
     The determinant is linear in each row, so it is computed as
-    J(u, d v, e w) / (d e), with d and e the lcm of the coefficient
-    denominators of v and of w.  With u integral, as U_FORM is, every
-    product then runs on ints.
+    J(U_FORM, d v, e w) / (d e), with d and e the lcm of the coefficient
+    denominators of v and of w.  U_FORM is integral, so every product then
+    runs on ints.
     """
     d = lcm(*(c.denominator for c in v.terms.values()))
     e = lcm(*(c.denominator for c in w.terms.values()))
     if d * e != 1:
         v, w = v * d, w * e
-    ux, uy, uz = (u.derivative(s) for s in _VARS)
+    ux, uy, uz = (U_FORM.derivative(s) for s in _VARS)
     vx, vy, vz = (v.derivative(s) for s in _VARS)
     wx, wy, wz = (w.derivative(s) for s in _VARS)
     q = (
@@ -189,11 +188,9 @@ def build_q(u: TriPoly, v: TriPoly, w: TriPoly) -> TriPoly:
 
 
 def build_bundle(seed: SeedPoly) -> CurveBundle:
-    u = U_FORM
     v = build_v(seed)
     w, g_cubic, p_reduced = build_w(seed)
-    q_form = build_q(u, v, w)
-    return CurveBundle(seed, u, v, w, q_form, g_cubic, p_reduced)
+    return CurveBundle(seed, v, w, build_q(v, w), g_cubic, p_reduced)
 
 
 def model_degree_check(bundle: CurveBundle) -> Check:
@@ -238,10 +235,10 @@ def cubic_space(seed: SeedPoly) -> list[TriPoly]:
     """Basis of cubic forms vanishing at all eight seed points.
 
     Row d, column e of the 8 x 10 system is the t^d coefficient of
-    monomial e at (t^3, t, 1) mod h: x^i y^j z^k goes to t^(3i+j).
+    monomial e at (t^3, t, 1) mod h.
     """
     mons = _monomials(3)
-    cols = [qr_reduce(UniPoly([0] * (3 * i + j) + [1]), seed.h).coeffs for i, j, _ in mons]
+    cols = [tri_eval_param(TriPoly.monomial(m), seed.h).coeffs for m in mons]
     rows = [[col[d] if d < len(col) else 0 for col in cols] for d in range(seed.h.degree)]
     return [TriPoly(dict(zip(mons, vec))) for vec in q_kernel_basis(rows, len(mons))]
 
@@ -251,7 +248,7 @@ def _vanishes_doubly(form: TriPoly, h: UniPoly) -> bool:
     return all(tri_eval_param(f, h).is_zero for f in _xy_partials(form, 1))
 
 
-def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
+def sextic_space(seed: SeedPoly, v: TriPoly, w: TriPoly) -> Check:
     """Check that u^2, uv, v^2, w are a basis of the doubly-vanishing sextics.
 
     The system has dimension 4 for every SeedPoly, by restriction to the
@@ -272,22 +269,23 @@ def sextic_space(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
     s1 + 2 h_7 s2 = s1 is 0, and for each R the G are a 2-dimensional affine
     family: dimension 2 + 2 = 4, and the forms 0 at (0:0:1) are s0 = 0.
 
-    So only the premises are computed.  u, v vanish at the points, so u^2,
-    uv, v^2 vanish doubly (product rule), and w is checked to; u, v are
-    independent, so u^2, uv, v^2 are (a relation factors into linear ones);
-    u, v vanish at (0:0:1) and w does not (a form of degree d takes its z^d
-    coefficient there), so w is off their span.  Conversely in a basis u^2,
-    v^2 vanish at the points, so u, v do, independent and so 0 at (0:0:1),
-    and w is off the hyperplane s0 = 0 their squares span: a failed premise
-    is the exact kernel's verdict too, with the same dimension.
+    So only what can fail is computed.  u = U_FORM vanishes at the points and
+    at (0:0:1) by identity: U_FORM(t^3, t, 1) = t^3 - t^3 is the zero
+    polynomial, and U_FORM has no z^3 term.  v is checked to vanish there too,
+    w doubly at the points and not at (0:0:1), and u, v to be independent.
+    Then u^2, uv, v^2 vanish doubly (product rule) and are independent (a
+    relation factors into linear ones), and w is off their span (a form of
+    degree d takes its z^d coefficient at (0:0:1)).  Conversely in a basis v^2
+    vanishes at the points, so v does, independent of u and so 0 at (0:0:1),
+    and w is off the hyperplane s0 = 0 the squares span: a failed premise is
+    the exact kernel's verdict too, with the same dimension.
     """
     h = seed.h
     basis = (
-        tri_eval_param(u, h).is_zero
-        and tri_eval_param(v, h).is_zero
+        tri_eval_param(v, h).is_zero
         and _vanishes_doubly(w, h)
-        and forms_rank([u, v], 3) == 2
-        and u.coeff((0, 0, 3)) == v.coeff((0, 0, 3)) == 0
+        and forms_rank([U_FORM, v], 3) == 2
+        and v.coeff((0, 0, 3)) == 0
         and w.coeff((0, 0, 6)) != 0
     )
     return Check("sextic_space_dimension", basis, {"dimension": 4})
@@ -399,18 +397,18 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
     """Run every finite check on a constructed bundle, in a fixed order."""
     seed = bundle.seed
     h = seed.h
-    u, v, w = bundle.u, bundle.v, bundle.w
+    v, w = bundle.v, bundle.w
     checks: list[Check] = []
 
     ident = v.param_eval() - UniPoly([0, 1]) * h
     checks.append(Check("v_parametric_identity", ident.is_zero, {"residual_degree": ident.degree}))
     checks.append(Check("v_x_degree", v.x_degree == 3, {"x_degree": v.x_degree}))
 
-    # its premises include u and v vanishing at the points and at (0:0:1)
-    sextic = sextic_space(seed, u, v, w)
+    # its premises include v vanishing at the points and at (0:0:1), as u does
+    sextic = sextic_space(seed, v, w)
     # the kernel is exactly the cubics that vanish at the points
     cubics = cubic_space(seed)
-    uv_vanish = sextic.passed or (tri_eval_param(u, h).is_zero and tri_eval_param(v, h).is_zero)
+    uv_vanish = sextic.passed or tri_eval_param(v, h).is_zero
     cubic_ok = len(cubics) == 2 and uv_vanish
     ninth_cubic = all(c.coeff((0, 0, 3)) == 0 for c in cubics)
     checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
@@ -422,8 +420,8 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
         w_ninth == seed.h0 ** 2 and w_ninth != 0,
         {"value": w_ninth, "expected": seed.h0 ** 2},
     ))
-    # u^2, uv and v^2 vanish at (0:0:1) iff u and v do
-    sq_vanish = sextic.passed or u.coeff((0, 0, 3)) == v.coeff((0, 0, 3)) == 0
+    # u^2, uv and v^2 vanish at (0:0:1) iff v does, as u = U_FORM does
+    sq_vanish = sextic.passed or v.coeff((0, 0, 3)) == 0
     checks.append(Check("pencil_squares_vanish_at_ninth_point", sq_vanish, {}))
     # a basis of the system vanishes doubly at the points, w with it
     w_vanish = sextic.passed or _vanishes_doubly(w, h)

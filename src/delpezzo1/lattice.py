@@ -31,16 +31,17 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class IntLattice:
-    rank: int
     gram: Matrix
 
     def __post_init__(self):
-        if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
+        if any(len(r) != self.rank for r in self.gram):
             raise ValueError("gram shape mismatch")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram not symmetric")
+        if any(self.gram[i][j] != self.gram[j][i] for i in range(self.rank) for j in range(i)):
+            raise ValueError("gram not symmetric")
+
+    @property
+    def rank(self) -> int:
+        return len(self.gram)
 
     def pair(self, x: Vector, y: Vector) -> int:
         return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
@@ -76,7 +77,7 @@ def build_hyperbolic(d: int) -> MarkedLattice:
         for i in range(n)
     )
     omega = tuple([-3] + [1] * (n - 1))
-    return MarkedLattice(IntLattice(n, gram), omega)
+    return MarkedLattice(IntLattice(gram), omega)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def orth_complement(lat: IntLattice, v: Vector) -> Sublattice:
     g = math.gcd(*w)
     basis = int_functional_kernel([c // g for c in w])
     vecs = tuple(tuple(b) for b in basis)
-    return Sublattice(IntLattice(len(vecs), lat.gram_of(vecs)), vecs)
+    return Sublattice(IntLattice(lat.gram_of(vecs)), vecs)
 
 
 # -- short vectors ---------------------------------------------------------
@@ -181,7 +182,7 @@ def linalg_lemma_check() -> Check:
     the even sizes of independent tuples that fit in F2^8.
     """
     sizes = (2, 4, 6, 8)
-    dets = tuple(f2_det([((1 << m) - 1) ^ (1 << i) for i in range(m)], m) for m in sizes)
+    dets = tuple(f2_det([((1 << m) - 1) ^ (1 << i) for i in range(m)]) for m in sizes)
     return Check(
         "independence_lemma",
         all(det == 1 for det in dets),
@@ -269,7 +270,7 @@ def picard_model_check(marked: MarkedLattice) -> Check:
     diag = tuple(gram[i][i] for i in range(n))
     off_ok = all(gram[i][j] == -1 for i in range(n) for j in range(n) if i != j)
     independent = f2_rank([_mask(v) for v in vs]) == n
-    det = f2_det(_mod2_gram_rows(gram), n)
+    det = f2_det(_mod2_gram_rows(gram))
     return Check(
         "picard_gram",
         kk == 1 and all(v == -2 for v in diag) and off_ok and independent and det == 1,

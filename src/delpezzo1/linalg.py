@@ -138,6 +138,6 @@ def f2_rank(vectors: list[int]) -> int:
     return len(basis)
 
 
-def f2_det(rows: list[int], n: int) -> int:
-    """Determinant over F2 of an n x n bitmask matrix: 1 exactly when it has rank n."""
-    return int(f2_rank(rows) == n)
+def f2_det(rows: list[int]) -> int:
+    """Determinant over F2 of a square bitmask matrix: 1 exactly when it has rank len(rows)."""
+    return int(f2_rank(rows) == len(rows))

@@ -319,8 +319,8 @@ def power_sums(f: UniPoly, count: int) -> list[int]:
     return ps
 
 
-def from_power_sums(ps: Sequence[int], degree: int) -> UniPoly:
-    """Monic integer polynomial of the given degree with root power sums ps.
+def from_power_sums(ps: Sequence[int]) -> UniPoly:
+    """Monic integer polynomial with root power sums ps = p_0..p_n, of degree n.
 
     Newton's recurrence k a_k = -(a_0 p_k + ... + a_(k-1) p_1) on ints.
     Every division by k is checked: a nonzero remainder means ps belong
@@ -328,7 +328,7 @@ def from_power_sums(ps: Sequence[int], degree: int) -> UniPoly:
     that scaled roots by D scales the result back by 1/D.
     """
     a = [1]
-    for k in range(1, degree + 1):
+    for k in range(1, len(ps)):
         a.append(_exact_quotient(-sum(map(mul, a, reversed(ps[1 : k + 1]))), k))
     return UniPoly(reversed(a))
 
@@ -365,7 +365,7 @@ def root_sum_poly(f: UniPoly, g: UniPoly) -> UniPoly:
     d = math.lcm(root_denominator(f), root_denominator(g))
     pf = power_sums(f.scale_roots(d), n * m)
     sums = binomial_convolution(pf, power_sums(g.scale_roots(d), n * m))
-    return from_power_sums(sums, n * m).scale_roots(Fraction(1, d))
+    return from_power_sums(sums).scale_roots(Fraction(1, d))
 
 
 def distinct_pair_power_sums(pairs: Sequence[int], ps: Sequence[int]) -> list[int]:
@@ -394,7 +394,7 @@ def distinct_pair_sum_poly(f: UniPoly) -> UniPoly:
     d = root_denominator(f)
     ps = power_sums(f.scale_roots(d), count)
     sums = distinct_pair_power_sums(binomial_convolution(ps, ps), ps)
-    return from_power_sums(sums, count).scale_roots(Fraction(1, d))
+    return from_power_sums(sums).scale_roots(Fraction(1, d))
 
 
 def distinct_triple_sum_poly(f: UniPoly) -> UniPoly:
@@ -413,10 +413,10 @@ def distinct_triple_sum_poly(f: UniPoly) -> UniPoly:
 
         p_k(T) = 6 p_k(g) + 3 p_k(E/h3) + p_k(h3),
 
-    and p_k(T) is the binomial convolution p (x) (p (x) p) of the root
-    power sums of f with themselves, so g follows from its power sums up
-    to k = C(n, 3) (the composed-sum method of Bostan, Flajolet, Salvy and
-    Schost).  E = root_sum_poly(f.scale_roots(2), f), and E/h3 is an exact
+    p_k(h3) = 3^k p_k, and p_k(T) is the binomial convolution p (x) (p (x) p)
+    of the root power sums of f with themselves, so g follows from its power
+    sums up to k = C(n, 3) (the composed-sum method of Bostan, Flajolet, Salvy
+    and Schost).  E = root_sum_poly(f.scale_roots(2), f), and E/h3 is an exact
     division, which raises ArithmeticError if h3 does not divide E.
 
     The arithmetic runs on Python ints: the roots of f are scaled by
@@ -432,6 +432,6 @@ def distinct_triple_sum_poly(f: UniPoly) -> UniPoly:
     ps = power_sums(f_d, count)
     ordered = binomial_convolution(ps, binomial_convolution(ps, ps))
     two_equal = power_sums(root_sum_poly(f_d.scale_roots(2), f_d).exact_div(h3), count)
-    all_equal = power_sums(h3, count)
+    all_equal = [3**k * p for k, p in enumerate(ps)]
     sums = [_exact_quotient(t - 3 * e - a, 6) for t, e, a in zip(ordered, two_equal, all_equal)]
-    return from_power_sums(sums, count).scale_roots(Fraction(1, d))
+    return from_power_sums(sums).scale_roots(Fraction(1, d))

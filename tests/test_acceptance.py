@@ -128,7 +128,7 @@ def test_criterion_2_linear_system_dimensions():
             ok &= forms_rank(cubics + [f], 3) == forms_rank(cubics, 3)
         # passing means u^2, uv, v^2, w are a basis of the 4-dimensional system
         bundle = build_bundle(seed)
-        sextic = sextic_space(seed, bundle.u, bundle.v, bundle.w)
+        sextic = sextic_space(seed, bundle.v, bundle.w)
         ok &= sextic.passed and sextic.witness == {"dimension": 4}
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
@@ -226,7 +226,7 @@ def test_criterion_8_independence_lemma_suite():
     ok = check.passed and check.witness["determinants"] == (1, 1, 1, 1)
     ok &= check.witness["tuple_sizes"] == (2, 4, 6, 8)
     for m in (1, 3, 5, 7, 9):
-        ok &= f2_det([((1 << m) - 1) ^ (1 << i) for i in range(m)], m) == 0
+        ok &= f2_det([((1 << m) - 1) ^ (1 << i) for i in range(m)]) == 0
     report(8, "independence lemma by det(J - I) for m = 2, 4, 6, 8", ok)
 
 

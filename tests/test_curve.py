@@ -302,7 +302,7 @@ class TestWorkedPipeline:
         # a third row that is a function of the first two collapses the
         # Jacobian: gradient of u*v is v grad(u) + u grad(v)
         bundle = build_bundle(seed_x8)
-        dependent = build_q(bundle.u, bundle.v, bundle.u * bundle.v)
+        dependent = build_q(bundle.v, U_FORM * bundle.v)
         assert dependent.is_zero
 
     def test_full_verification_passes(self, seed_x8):
@@ -313,7 +313,7 @@ class TestWorkedPipeline:
         bundle = build_bundle(seed_x8)
         witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic}
         assert curve.model_degree_check(bundle) == Check("model_degree_9", True, witness)
-        cubic = dataclasses.replace(bundle, q_form=bundle.u)
+        cubic = dataclasses.replace(bundle, q_form=U_FORM)
         assert curve.model_degree_check(cubic) == Check("model_degree_9", False, witness)
 
 
@@ -325,15 +325,15 @@ class TestBuildQ:
     def test_equals_the_unscaled_jacobian_on_fraction_seeds(self, seed):
         assume(any(c.denominator != 1 for c in seed.h.coeffs))
         v, w = build_v(seed), build_w(seed)[0]
-        assert build_q(U_FORM, v, w) == jacobian(U_FORM, v, w)
+        assert build_q(v, w) == jacobian(U_FORM, v, w)
 
     @settings(max_examples=10, deadline=None)
     @given(seed_polys(), st.sampled_from([2, Fraction(-1, 3), 2**100 + 277]))
     def test_linear_in_each_row(self, seed, c):
         v, w = build_v(seed), build_w(seed)[0]
         scaled = c * jacobian(U_FORM, v, w)
-        assert build_q(U_FORM, c * v, w) == scaled
-        assert build_q(U_FORM, v, c * w) == scaled
+        assert build_q(c * v, w) == scaled
+        assert build_q(v, c * w) == scaled
 
 
 class TestSeedInvariants:
@@ -368,14 +368,21 @@ class TestLinearSystems:
     def test_sextic_space_worked_seed(self, seed_x8):
         bundle = build_bundle(seed_x8)
         forms = _pencil_basis(seed_x8)
-        assert sextic_space(seed_x8, bundle.u, bundle.v, bundle.w) == CERTIFIED
+        assert sextic_space(seed_x8, bundle.v, bundle.w) == CERTIFIED
         oracle = space_through_points(seed_x8, 6, SEXTIC_OPS)
         assert len(oracle) == 4
         for f in forms:
             assert forms_rank(oracle + [f], 6) == forms_rank(oracle, 6)
-        for f in (bundle.u**2, bundle.u * bundle.v, bundle.v**2):
+        for f in (U_FORM**2, U_FORM * bundle.v, bundle.v**2):
             assert f.coeff((0, 0, 6)) == 0
         assert bundle.w.coeff((0, 0, 6)) != 0
+
+    def test_u_form_identities(self):
+        # sextic_space takes these as proved: U_FORM(t^3, t, 1) is the zero
+        # polynomial, so u vanishes at every seed's points, and U_FORM has no
+        # z^3 term, so u vanishes at (0:0:1)
+        assert U_FORM.param_eval().is_zero
+        assert U_FORM.coeff((0, 0, 3)) == 0
 
     def test_u_always_in_cubic_kernel(self):
         rng = random.Random(61)
@@ -386,7 +393,7 @@ class TestLinearSystems:
 
 
 class TestCubicSpaceCheck:
-    """verify_bundle evaluates u and v at the points; the oracle takes a rank."""
+    """verify_bundle evaluates v at the points, as U_FORM vanishes there; the oracle takes a rank."""
 
     @staticmethod
     def _cubic_check(bundle):
@@ -398,7 +405,7 @@ class TestCubicSpaceCheck:
     def test_matches_the_rank_oracle(self, kind, data):
         seed = data.draw(seed_polys(kinds=(kind,)))
         bundle = build_bundle(seed)
-        oracle = cubic_space_rank(seed, bundle.u, bundle.v)
+        oracle = cubic_space_rank(seed, U_FORM, bundle.v)
         assert oracle.passed
         assert self._cubic_check(bundle) == oracle
 
@@ -415,8 +422,8 @@ class TestCubicSpaceCheck:
     def test_mutated_pencil_matches_the_rank_oracle(self, coeffs, wrong, passed):
         # a v in the span passes, dependent on u or not; one off the points fails
         bundle = build_bundle(validate_seed(coeffs))
-        mutated = dataclasses.replace(bundle, v=wrong(bundle.u, bundle.v))
-        oracle = cubic_space_rank(mutated.seed, mutated.u, mutated.v)
+        mutated = dataclasses.replace(bundle, v=wrong(U_FORM, bundle.v))
+        oracle = cubic_space_rank(mutated.seed, U_FORM, mutated.v)
         assert oracle.passed is passed
         assert self._cubic_check(mutated) == oracle
 
@@ -446,12 +453,12 @@ def _count_kernel_calls(monkeypatch) -> list[int]:
 
 def _pencil_basis(seed):
     bundle = build_bundle(seed)
-    return [bundle.u**2, bundle.u * bundle.v, bundle.v**2, bundle.w]
+    return [U_FORM**2, U_FORM * bundle.v, bundle.v**2, bundle.w]
 
 
-def _uvw(seed):
+def _vw(seed):
     bundle = build_bundle(seed)
-    return bundle.u, bundle.v, bundle.w
+    return bundle.v, bundle.w
 
 
 @st.composite
@@ -475,23 +482,23 @@ class TestSexticCertificate:
         seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
         for seed in seeds:
             forms = _pencil_basis(seed)
-            assert sextic_space(seed, *_uvw(seed)) == CERTIFIED
+            assert sextic_space(seed, *_vw(seed)) == CERTIFIED
             oracle = space_through_points(seed, 6, SEXTIC_OPS)
             assert forms_rank(forms, 6) == forms_rank(oracle, 6) == forms_rank(forms + oracle, 6) == 4
 
     @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
     def test_certified_path_computes_no_kernel(self, coeffs, monkeypatch):
         seed = validate_seed(coeffs)
-        uvw = _uvw(seed)
+        vw = _vw(seed)
         calls = _count_kernel_calls(monkeypatch)
-        assert sextic_space(seed, *uvw) == CERTIFIED
+        assert sextic_space(seed, *vw) == CERTIFIED
         assert calls == []
 
     def test_prime_in_a_denominator_is_certified(self, monkeypatch):
         seed = validate_seed(PRIME_DENOMINATOR_COEFFS)
-        uvw = _uvw(seed)
+        vw = _vw(seed)
         calls = _count_kernel_calls(monkeypatch)
-        assert sextic_space(seed, *uvw) == CERTIFIED
+        assert sextic_space(seed, *vw) == CERTIFIED
         assert calls == []
 
     # one control per premise: each breaks it, and the Check fails with the
@@ -499,20 +506,20 @@ class TestSexticCertificate:
     @pytest.mark.parametrize(
         "wrong",
         [
-            lambda u, v, w: (u, u, w),
-            lambda u, v, w: (u, v, w + TriPoly.monomial((0, 0, 6))),
-            lambda u, v, w: (u, v, u * u),
-            lambda u, v, w: (u, v + TriPoly.monomial((0, 0, 3)), w),
+            lambda v, w: (U_FORM, w),
+            lambda v, w: (v, w + TriPoly.monomial((0, 0, 6))),
+            lambda v, w: (v, U_FORM * U_FORM),
+            lambda v, w: (v + TriPoly.monomial((0, 0, 3)), w),
         ],
         ids=["v_is_u", "w_not_in_system", "w_is_u_squared", "v_off_the_points"],
     )
     def test_broken_premise_fails_like_the_kernel(self, wrong, monkeypatch):
         seed = validate_seed(X8_COEFFS)
-        u, v, w = wrong(*_uvw(seed))
-        oracle = sextic_space_exact(seed, u, v, w)
+        v, w = wrong(*_vw(seed))
+        oracle = sextic_space_exact(seed, U_FORM, v, w)
         assert not oracle.passed and oracle.witness == {"dimension": 4}
         calls = _count_kernel_calls(monkeypatch)
-        check = sextic_space(seed, u, v, w)
+        check = sextic_space(seed, v, w)
         assert calls == []
         assert (check.name, check.passed, check.witness) == (
             oracle.name, oracle.passed, oracle.witness
@@ -543,13 +550,13 @@ class TestSexticCertificate:
     @example(validate_seed(SLOW_PATH_GOOD))
     @example(validate_seed(DISTINCT_TRIPLE_BAD))
     def test_dimensions_by_restriction_to_the_cubic(self, seed):
-        u, v, w = _uvw(seed)
+        v, w = _vw(seed)
         assert len(space_through_points(seed, 3, [""])) == 2
-        oracle = sextic_space_exact(seed, u, v, w)
+        oracle = sextic_space_exact(seed, U_FORM, v, w)
         assert oracle == CERTIFIED
         with pytest.MonkeyPatch.context() as patch:
             calls = _count_kernel_calls(patch)
-            assert sextic_space(seed, u, v, w) == oracle
+            assert sextic_space(seed, v, w) == oracle
         assert calls == []
 
 
@@ -586,7 +593,7 @@ class TestMultiplicity:
         # u^3 vanishes to order exactly 3: its third-order jet at a smooth
         # point of u is (du)^3, which never dies along the parametrization
         bundle = build_bundle(seed_x8)
-        order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=bundle.u**3))
+        order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=U_FORM**3))
         assert order2.passed
         assert order3.passed
 
@@ -594,7 +601,7 @@ class TestMultiplicity:
         # u^3 * v vanishes to order >= 4 at every seed point, so the
         # multiplicity-exactly-3 certificate must refuse it
         bundle = build_bundle(seed_x8)
-        fake = dataclasses.replace(bundle, q_form=bundle.u**3 * bundle.v)
+        fake = dataclasses.replace(bundle, q_form=U_FORM**3 * bundle.v)
         order2, order3 = multiplicity_report(fake)
         assert order2.passed
         assert not order3.passed
@@ -603,7 +610,7 @@ class TestMultiplicity:
     def test_first_failing_derivative_is_named(self, seed_x8):
         # u^2 vanishes doubly but its second x-derivative 2 u_x^2 does not
         bundle = build_bundle(seed_x8)
-        order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=bundle.u**2))
+        order2, order3 = multiplicity_report(dataclasses.replace(bundle, q_form=U_FORM**2))
         assert not order2.passed and not order3.passed
         assert order2.witness == {"failed_derivative": "xx"}
 
@@ -611,7 +618,7 @@ class TestMultiplicity:
         # the x/y partials give the same Checks as every x/y/z partial
         bundles = [build_bundle(seed) for seed in oracle_seeds()]
         x8 = build_bundle(validate_seed(X8_COEFFS))
-        for q in (x8.u**2, x8.u**3, x8.u**3 * x8.v):
+        for q in (U_FORM**2, U_FORM**3, U_FORM**3 * x8.v):
             bundles.append(dataclasses.replace(x8, q_form=q))
         for bundle in bundles:
             got = [(c.name, c.passed, c.witness) for c in multiplicity_report(bundle)]
@@ -624,7 +631,7 @@ class TestMultiplicity:
         # every nonzero multiple of Q, integral or not
         x8 = build_bundle(validate_seed(X8_COEFFS))
         bundles = [x8, build_bundle(validate_seed(FIXED_FRACTION_COEFFS))]
-        bundles += [dataclasses.replace(x8, q_form=q) for q in (x8.u**2, x8.u**3 * x8.v)]
+        bundles += [dataclasses.replace(x8, q_form=q) for q in (U_FORM**2, U_FORM**3 * x8.v)]
         for bundle in bundles:
             want = [(c.name, c.passed, c.witness) for c in multiplicity_report(bundle)]
             for c in (2, Fraction(-1, 3), 2**100 + 277):
@@ -695,7 +702,7 @@ class TestDichotomy:
 
 def test_verify_bundle_flags_degenerate_model(seed_x8):
     bundle = build_bundle(seed_x8)
-    checks = verify_bundle(dataclasses.replace(bundle, q_form=bundle.u**2))
+    checks = verify_bundle(dataclasses.replace(bundle, q_form=U_FORM**2))
     assert "model_degree" in [c.name for c in checks if not c.passed]
 
 

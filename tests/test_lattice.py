@@ -21,6 +21,21 @@ from delpezzo1.lattice import (
 from delpezzo1.linalg import f2_det, f2_rank
 
 
+class TestIntLattice:
+    @pytest.mark.parametrize(
+        "gram",
+        [((-2, 1), (1,)), ((-2, 1, 0), (1, -2, 0)), ((-2, 1), (1, -2), (0, 0))],
+        ids=["ragged", "wide", "tall"],
+    )
+    def test_gram_that_is_not_square_rejected(self, gram):
+        with pytest.raises(ValueError, match="shape"):
+            IntLattice(gram)
+
+    def test_gram_that_is_not_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            IntLattice(((-2, 1), (0, -2)))
+
+
 class TestHyperbolic:
     def test_omega_self_pairing(self):
         for d in (1, 2):
@@ -104,7 +119,7 @@ class TestShortVectors:
     def test_later_leading_minor_rejected(self, gram, norm):
         # the first pivot is positive; the second leading minor is 0 or -3
         with pytest.raises(ValueError, match="not negative definite"):
-            enumerate_short_vectors(IntLattice(2, gram), norm)
+            enumerate_short_vectors(IntLattice(gram), norm)
 
     def test_antipodal_closure(self):
         marked = build_hyperbolic(1)
@@ -158,7 +173,7 @@ class TestShortVectors:
             tuple(-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n))
             for i in range(n)
         )
-        lat = IntLattice(n, gram)
+        lat = IntLattice(gram)
         box = range(-math.isqrt(big_n), math.isqrt(big_n) + 1)
         expected = sorted(
             x for x in product(box, repeat=n) if any(x) and lat.pair(x, x) == -big_n
@@ -176,7 +191,7 @@ def _d1():
 def _with_basis(lat, basis):
     """A Sublattice of `lat` spanned by `basis`, with its induced Gram matrix."""
     gram = tuple(tuple(lat.pair(a, b) for b in basis) for a in basis)
-    return Sublattice(IntLattice(len(basis), gram), tuple(basis))
+    return Sublattice(IntLattice(gram), tuple(basis))
 
 
 class TestF8S:
@@ -359,7 +374,7 @@ class TestCensus:
     )
     def test_counts_match_direct_norms(self, shape):
         n, cells = shape
-        lat = IntLattice(n, _even_gram(n, cells))
+        lat = IntLattice(_even_gram(n, cells))
         q = [(lat.pair(v, v) // 2) & 1 for v in (_lift(m, n) for m in range(1, 1 << n))]
         rep = mod2_quadratic_census(lat, []).witness
         assert rep["nonzero_q1"] == sum(q)
@@ -381,12 +396,12 @@ class TestCensus:
     def test_reflection_verdict_matches_search(self, case):
         # the polarization verdict against a search over every class
         n, cells, roots = case
-        lat = IntLattice(n, _even_gram(n, cells))
+        lat = IntLattice(_even_gram(n, cells))
         rep = mod2_quadratic_census(lat, roots).witness
         assert rep["reflections_preserve_q"] == _reflections_preserve_q_by_search(lat, roots)
 
     def test_only_defined_for_even_lattices(self):
-        odd = IntLattice(1, ((-1,),))
+        odd = IntLattice(((-1,),))
         with pytest.raises(ArithmeticError):
             mod2_quadratic_census(odd, [])
 
@@ -433,7 +448,7 @@ class TestIndependenceLemma:
         for m in (1, 3, 5, 7, 9):
             ones = (1 << m) - 1
             assert all((row & ones).bit_count() % 2 == 0 for row in _j_minus_i(m))
-            assert f2_det(_j_minus_i(m), m) == 0
+            assert f2_det(_j_minus_i(m)) == 0
 
     def test_square_is_identity_for_even_sizes(self):
         for m in (2, 4, 6, 8):

@@ -94,7 +94,7 @@ class TestDerivedFormsStayNormal:
     @given(seed_polys(), st.sampled_from([2, -1, Fraction(-3, 7)]))
     def test_bundle_forms(self, seed, c):
         bundle = build_bundle(seed)
-        forms = [bundle.u, bundle.v, bundle.w, bundle.q_form]
+        forms = [U, bundle.v, bundle.w, bundle.q_form]
         forms += [f.derivative(s) for f in forms for s in "xyz"]
         forms += [amap(UniPoly([0, 1]) * seed.h).homogenize(3), amap(seed.h * seed.h).homogenize(6)]
         for a in forms:

@@ -412,14 +412,14 @@ class TestPowerSums:
             roots = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
             f = split_poly(roots)
             ps = power_sums(f, f.degree)
-            assert from_power_sums(ps, f.degree) == f
+            assert from_power_sums(ps) == f
         for _ in range(15):
             # rational roots: the integer kernel sees them scaled by D
             roots = [Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7, 30])) for _ in range(4)]
             f = split_poly(roots)
             d = root_denominator(f)
             ps = power_sums(f.scale_roots(d), f.degree)
-            assert from_power_sums(ps, f.degree).scale_roots(Fraction(1, d)) == f
+            assert from_power_sums(ps).scale_roots(Fraction(1, d)) == f
             assert root_sum_poly(f, UniPoly([0, 1])) == f
 
     def test_rational_monic_form_rejected(self):
@@ -429,7 +429,7 @@ class TestPowerSums:
     def test_inexact_newton_division_raises(self):
         # p = (2, 1, 0) at degree 2 forces e2 = (p1^2 - p2) / 2 = 1/2
         with pytest.raises(ArithmeticError):
-            from_power_sums([2, 1, 0], 2)
+            from_power_sums([2, 1, 0])
 
 
 class TestRootSumPoly:
@@ -487,11 +487,8 @@ class TestRootSumPoly:
 
 
 int_roots = st.lists(st.integers(-40, 40), min_size=1, max_size=8)
-rational_roots = st.lists(
-    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 12, 30])),
-    min_size=1,
-    max_size=8,
-)
+rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 12, 30]))
+rational_roots = st.lists(rationals, min_size=1, max_size=8)
 
 
 class TestDistinctPairSumPoly:
@@ -548,6 +545,16 @@ class TestDistinctTripleSumPoly:
     def test_repeated_roots_count_by_position(self, roots, lead):
         brute = split_poly([a + b + c for a, b, c in combinations(roots, 3)])
         assert distinct_triple_sum_poly(split_poly(roots) * lead) == brute
+
+    # distinct_triple_sum_poly reads the power sums of h3 = f.scale_roots(3),
+    # whose roots are the 3a, as 3^k p_k
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-40, 40), rationals), min_size=1, max_size=8))
+    def test_power_sums_of_the_tripled_roots(self, coeffs):
+        f = UniPoly(coeffs + [1])
+        f_d = f.scale_roots(root_denominator(f))
+        ps = power_sums(f_d, 56)
+        assert [3**k * p for k, p in enumerate(ps)] == power_sums(f_d.scale_roots(3), 56)
 
 
 def test_operations_are_deterministic():
