@@ -13,13 +13,20 @@ the identification by F2 ranks of the computed complement's reduced basis,
 root reflections preserve q by the polarization identity, and the lemma
 holds for a tuple size m because (J - I)^2 = I over F2 for even m, so one
 determinant of J - I covers every tuple of that size.
+
+Repeated pairings against a fixed vector v go through its functional
+G v, formed once: a Gram matrix of k vectors costs k products G v and
+k^2 dot products.  The short-vector search visits one of each pair
+x, -x and carries each level's centre as a running sum; the census
+builds q on all classes from the polarization identity alone, with no
+integer norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 from .linalg import bareiss_det, f2_det, f2_rank, int_functional_kernel
@@ -46,9 +53,14 @@ class IntLattice:
     def pair(self, x: Vector, y: Vector) -> int:
         return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
 
+    def functional(self, v: Vector) -> Vector:
+        """The coefficients G v of the functional x -> (v, x)."""
+        return tuple(sum(map(mul, row, v)) for row in self.gram)
+
     def gram_of(self, vs: Sequence[Vector]) -> Matrix:
-        """The Gram matrix of the given vectors."""
-        return tuple(tuple(self.pair(a, b) for b in vs) for a in vs)
+        """The Gram matrix of the given vectors, each G v formed once."""
+        gvs = [self.functional(v) for v in vs]
+        return tuple(tuple(sum(map(mul, a, gb)) for gb in gvs) for a in vs)
 
     @property
     def determinant(self) -> int:
@@ -92,9 +104,9 @@ def orth_complement(lat: IntLattice, v: Vector) -> Sublattice:
     """Integer kernel of pairing-with-v, with the induced Gram matrix."""
     if math.gcd(*v) != 1:
         raise ValueError("vector must be primitive")
-    if lat.pair(v, v) == 0:
+    w = lat.functional(v)
+    if sum(map(mul, v, w)) == 0:
         raise ValueError("vector must have nonzero self-pairing")
-    w = [lat.pair(v, tuple(int(i == j) for i in range(lat.rank))) for j in range(lat.rank)]
     g = math.gcd(*w)
     basis = int_functional_kernel([c // g for c in w])
     vecs = tuple(tuple(b) for b in basis)
@@ -113,12 +125,20 @@ def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
 
         Q(x) = -(x, x) = sum_i (U_i . x)^2 / (Delta_i Delta_(i+1)).
 
-    A pivot Delta_(i+1) <= 0 raises ValueError; by Sylvester's criterion
-    one occurs exactly when the lattice is not negative definite.  Scaled
-    by M = lcm_i Delta_i Delta_(i+1), level i is s_i = U_i . x with the
+    A pivot Delta_(i+1) <= 0 raises ValueError, before any search and for
+    every norm; by Sylvester's criterion one occurs exactly when the
+    lattice is not negative definite.  Scaled by
+    M = lcm_i Delta_i Delta_(i+1), level i is s_i = U_i . x with the
     integer weight M / (Delta_i Delta_(i+1)), so the bound on s_i is an
-    isqrt; no floating point enters any comparison.  The zero vector is
-    never reported.
+    isqrt; no floating point enters any comparison.
+
+    x and -x have the same norm, so the search fixes the sign of the last
+    nonzero coordinate: for each top index t it takes x_t >= 1 with every
+    higher coordinate 0, descends through the levels below t, and the
+    negatives of what it finds complete the list.  The zero vector is
+    never reached.  The centre U_i[i+1:] . x[i+1:] of level i is carried
+    as a running sum: fixing x_j adds U_k[j] x_j to the centre of every
+    level k < j, so no node sums over the coordinates above it.
     """
     n = lat.rank
     a = [[-c for c in row] for row in lat.gram]
@@ -136,31 +156,51 @@ def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
         return []
     dens = [minors[i] * minors[i + 1] for i in range(n)]
     scale = math.lcm(*dens)
-    levels = [(minors[i + 1], scale // den, a[i][i + 1 :]) for i, den in enumerate(dens)]
+    # level j: the pivot, the weight, and the column U_0[j], ..., U_(j-1)[j]
+    levels = [
+        (minors[j + 1], scale // den, tuple(a[k][j] for k in range(j)))
+        for j, den in enumerate(dens)
+    ]
+    rem = target * scale
+    x = [0] * n
     found: list[Vector] = []
-    _descend(levels, n - 1, target * scale, [0] * n, found)
+    for top, (den, w, col) in enumerate(levels):
+        for xt in range(1, math.isqrt(rem // w) // den + 1):
+            x[top] = xt
+            s = xt * den
+            _descend(levels, top - 1, rem - w * s * s, [u * xt for u in col], x, found)
+        x[top] = 0
+    found += [tuple(map(neg, v)) for v in found]
     return sorted(found)
 
 
-def _descend(levels: list, i: int, rem: int, x: list[int], found: list[Vector]) -> None:
+def _descend(
+    levels: list, i: int, rem: int, centres: list[int], x: list[int], found: list[Vector]
+) -> None:
     """Try every x_i that keeps the scaled norm of x[i:] within rem, then recurse.
 
-    A module-level function rather than a closure: a self-referencing
+    `centres[k]` is the centre sum_(j > k) U_k[j] x_j of each level k <= i;
+    the call at level i - 1 gets them with U_k[i] x_i added.  A
+    module-level function rather than a closure: a self-referencing
     closure is a reference cycle that keeps every found vector alive until
     the cyclic garbage collector runs.
     """
-    den, w, coef = levels[i]
-    cnum = sum(c * xj for c, xj in zip(coef, x[i + 1 :]))
+    if i < 0:
+        if rem == 0:
+            found.append(tuple(x))
+        return
+    den, w, col = levels[i]
+    cnum = centres[i]
     bound = math.isqrt(rem // w)
     for xi in range(-((bound + cnum) // den), (bound - cnum) // den + 1):
         x[i] = xi
         s = xi * den + cnum
         rest = rem - w * s * s
         if i == 0:
-            if rest == 0 and any(x):
+            if rest == 0:
                 found.append(tuple(x))
         else:
-            _descend(levels, i - 1, rest, x, found)
+            _descend(levels, i - 1, rest, [c + u * xi for c, u in zip(centres, col)], x, found)
     x[i] = 0
 
 
@@ -193,14 +233,16 @@ def linalg_lemma_check() -> Check:
 # -- named verification bundles ---------------------------------------------
 
 
-def _mask(v: Vector) -> int:
-    """The mod-2 reduction of an integer vector, coordinate i at bit i."""
-    return sum((c & 1) << i for i, c in enumerate(v))
+def _masks(vs: Sequence[Vector]) -> list[int]:
+    """The mod-2 reductions of integer vectors, coordinate i at bit i.
 
-
-def _mod2_gram_rows(gram: Matrix) -> list[int]:
-    """The mod-2 reduction of a Gram matrix: row i has bit j set when gram[i][j] is odd."""
-    return [_mask(row) for row in gram]
+    Built a column at a time: one pass over the vectors per coordinate.
+    """
+    masks = [0] * len(vs)
+    for i, col in enumerate(zip(*vs)):
+        bit = 1 << i
+        masks = [m | bit if c & 1 else m for m, c in zip(masks, col)]
+    return masks
 
 
 def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
@@ -218,16 +260,17 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
     of the standard basis (ones off the diagonal, zeros on it).
     """
     lat, omega, basis = marked.lattice, marked.omega, comp.ambient_basis
-    masks = [_mask(b) for b in basis]
+    masks = _masks(basis)
     dim = f2_rank(masks)
-    omega_even = all(lat.pair(b, omega) % 2 == 0 for b in basis)
+    g_omega = lat.functional(omega)
+    omega_even = all(sum(map(mul, b, g_omega)) % 2 == 0 for b in basis)
     bijective = f2_rank([m >> 1 for m in masks]) == 8
 
     n = lat.rank
     swap = (0, 2, 1, *range(3, n))
     cycle = (0, *range(2, n), 1)
     stable = [
-        f2_rank(masks + [_mask(tuple(b[t] for t in tau)) for b in basis]) == dim
+        f2_rank(masks + _masks([tuple(b[t] for t in tau) for b in basis])) == dim
         for tau in (swap, cycle)
     ]
     fixed = all(tuple(omega[t] for t in tau) == omega for tau in (swap, cycle))
@@ -243,7 +286,7 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
             "equivariant_swap": stable[0],
             "equivariant_cycle": stable[1],
             "all_ones_fixed": fixed,
-            "induced_form_rows": tuple(_mod2_gram_rows(lat.gram_of(lifts))),
+            "induced_form_rows": tuple(_masks(lat.gram_of(lifts))),
         },
     )
 
@@ -269,8 +312,8 @@ def picard_model_check(marked: MarkedLattice) -> Check:
     kk = lat.pair(k, k)
     diag = tuple(gram[i][i] for i in range(n))
     off_ok = all(gram[i][j] == -1 for i in range(n) for j in range(n) if i != j)
-    independent = f2_rank([_mask(v) for v in vs]) == n
-    det = f2_det(_mod2_gram_rows(gram))
+    independent = f2_rank(_masks(vs)) == n
+    det = f2_det(_masks(gram))
     return Check(
         "picard_gram",
         kk == 1 and all(v == -2 for v in diag) and off_ok and independent and det == 1,
@@ -288,47 +331,42 @@ def mod2_quadratic_census(lat: IntLattice, roots: list[Vector]) -> Check:
     """Census of q(x) = (x, x)/2 mod 2 on the even complement lattice.
 
     `lat` is the rank-8 complement and `roots` its norm -2 vectors.
-    Enumerates all 255 nonzero mod-2 classes, counts the values of q,
-    identifies the classes hit by the 240 roots, and checks that every
-    root reflection descends to a q-preserving map.  On an even lattice
+    Counts the values of q on all 255 nonzero mod-2 classes, identifies
+    the classes hit by the 240 roots, and checks that every root
+    reflection descends to a q-preserving map.  On an even lattice
     norm(x + m) = norm(x) + norm(m) + 2 (x, m), so q is well defined on
-    classes and q(x + m) = q(x) + q(m) + (x, m) mod 2.  Mod 2 the
+    classes and q(x + m) = q(x) + q(m) + (x, m) mod 2.  That identity alone
+    builds q: with q(0) = 0 and q(e_i) = (e_i, e_i)/2 mod 2, the classes
+    below bit i extend to those with bit i set by
+    q(m + e_i) = q(m) + q(e_i) + (e_i, m), and (e_i, m) mod 2 is the
+    parity of the mod-2 Gram row of e_i restricted to m.  Mod 2 the
     reflection in a root of class m adds m to every x with (x, m) odd,
     so it preserves q exactly when q(m) = 1 or no class pairs oddly
-    with m.  Raises ArithmeticError if `lat` has a vector of odd norm.
+    with m.  Raises ArithmeticError if `lat` has a vector of odd norm,
+    which an integer lattice has exactly when some (e_i, e_i) is odd.
     """
     n = lat.rank
     g = lat.gram
+    for i, row in enumerate(g):
+        if row[i] % 2:
+            raise ArithmeticError(f"odd norm {row[i]}: q is defined on even lattices only")
 
-    # norm(m) = norm(m - e_i) + g_ii + 2 sum_{j in m - e_i} g_ij, i the lowest bit of m
-    norms = [0] * (1 << n)
-    qvals = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        row = g[i]
-        norm = norms[rest] + row[i] + 2 * sum(row[j] for j in range(i + 1, n) if rest >> j & 1)
-        if norm % 2:
-            raise ArithmeticError(f"odd norm {norm}: q is defined on even lattices only")
-        norms[mask] = norm
-        qvals[mask] = (norm // 2) & 1
+    rows2 = _masks(g)
+    qvals = [0]
+    for i, row in enumerate(rows2):
+        qi = g[i][i] >> 1 & 1
+        qvals += [q ^ qi ^ ((row & m).bit_count() & 1) for m, q in enumerate(qvals)]
     q1 = sum(qvals)
     q0 = (1 << n) - 1 - q1
 
-    root_masks = sorted({_mask(r) for r in roots})
+    root_masks = set(_masks(roots))
     roots_q1 = all(qvals[m] == 1 for m in root_masks)
-
-    # odd[m] has bit j set when (e_j, m) is odd, the XOR of the mod-2 Gram
-    # rows over the bits of m; it is 0 when every class pairs evenly with m
-    rows2 = _mod2_gram_rows(g)
-    odd = {}
-    for m in root_masks:
-        acc = 0
-        for i in range(n):
-            if m >> i & 1:
-                acc ^= rows2[i]
-        odd[m] = acc
-    preserve = all(qvals[m] == 1 or not odd[m] for m in root_masks)
+    # a class m with q(m) = 0 pairs evenly with every class when each
+    # mod-2 Gram row meets it in an even number of bits
+    preserve = all(
+        qvals[m] == 1 or not any((row & m).bit_count() & 1 for row in rows2)
+        for m in root_masks
+    )
 
     return Check(
         "mod2_census",

@@ -399,8 +399,13 @@ def test_witness_over_the_digit_limit_exits_3(tall, monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--poly", X8_POLY], ["position", "--poly", X8_POLY], ["lattice", "--d", "2"]],
-    ids=["verify", "position", "lattice"],
+    [
+        ["verify", "--poly", X8_POLY],
+        ["position", "--poly", X8_POLY],
+        ["lattice", "--d", "2"],
+        ["lattice", "--d", "1"],
+    ],
+    ids=["verify", "position", "lattice", "lattice-d1"],
 )
 def test_a_call_leaves_no_cyclic_garbage(argv, fmt):
     # cyclic garbage waits for a full collection, which raises the peak memory

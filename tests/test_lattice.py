@@ -19,6 +19,21 @@ from delpezzo1.lattice import (
     picard_model_check,
 )
 from delpezzo1.linalg import f2_det, f2_rank
+from xyz_oracles import enumerate_short_vectors_full, mod2_quadratic_census_norms
+
+
+def _sym_gram(n, cells):
+    """Symmetric Gram matrix read from the upper triangle of an n x n cell list."""
+    return tuple(tuple(cells[min(i, j) * n + max(i, j)] for j in range(n)) for i in range(n))
+
+
+def _definite_gram(b):
+    """G = -(B^T B + I): every eigenvalue at most -1."""
+    n = len(b)
+    return tuple(
+        tuple(-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n))
+        for i in range(n)
+    )
 
 
 class TestIntLattice:
@@ -34,6 +49,28 @@ class TestIntLattice:
     def test_gram_that_is_not_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             IntLattice(((-2, 1), (0, -2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n),
+                st.lists(
+                    st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+                    max_size=5,
+                ),
+            ).map(lambda case: (n, *case))
+        )
+    )
+    def test_gram_of_matches_pairwise(self, case):
+        # each G v formed once gives the same matrix as a pair per entry
+        n, cells, vs = case
+        lat = IntLattice(_sym_gram(n, cells))
+        assert lat.gram_of(vs) == tuple(tuple(lat.pair(a, b) for b in vs) for a in vs)
+        for v in vs:
+            assert lat.functional(v) == tuple(
+                lat.pair(v, tuple(int(i == j) for i in range(n))) for j in range(n)
+            )
 
 
 class TestHyperbolic:
@@ -169,11 +206,7 @@ class TestShortVectors:
         # G = -(B^T B + I) has every eigenvalue at most -1, so a vector of
         # norm -N lies in the box |x_i| <= isqrt(N)
         n = len(b)
-        gram = tuple(
-            tuple(-sum(b[k][i] * b[k][j] for k in range(n)) - (i == j) for j in range(n))
-            for i in range(n)
-        )
-        lat = IntLattice(gram)
+        lat = IntLattice(_definite_gram(b))
         box = range(-math.isqrt(big_n), math.isqrt(big_n) + 1)
         expected = sorted(
             x for x in product(box, repeat=n) if any(x) and lat.pair(x, x) == -big_n
@@ -181,6 +214,35 @@ class TestShortVectors:
         found = enumerate_short_vectors(lat, -big_n)
         assert found == expected
         assert all(type(c) is int for v in found for c in v)
+
+    @staticmethod
+    def _assert_matches_full_search(lat, norm):
+        found = enumerate_short_vectors(lat, norm)
+        assert found == enumerate_short_vectors_full(lat, norm)
+        assert all(type(c) is int for v in found for c in v)
+        assert set(found) == {tuple(-c for c in v) for v in found}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.integers(1, 8),
+    )
+    def test_half_space_matches_full_search(self, b, big_n):
+        # one of each pair x, -x with running centres against the search
+        # over the whole space with each centre summed afresh
+        self._assert_matches_full_search(IntLattice(_definite_gram(b)), -big_n)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("norm", [-2, -4, -6])
+    def test_half_space_matches_full_search_on_the_complements(self, d, norm):
+        marked = build_hyperbolic(d)
+        self._assert_matches_full_search(orth_complement(marked.lattice, marked.omega).lattice, norm)
 
 
 def _d1():
@@ -404,6 +466,52 @@ class TestCensus:
         odd = IntLattice(((-1,),))
         with pytest.raises(ArithmeticError):
             mod2_quadratic_census(odd, [])
+
+    def test_odd_norm_error_names_the_first_odd_diagonal_entry(self):
+        with pytest.raises(ArithmeticError, match="odd norm -3"):
+            mod2_quadratic_census(IntLattice(((-2, 0), (0, -3))), [])
+        with pytest.raises(ArithmeticError, match="odd norm 5"):
+            mod2_quadratic_census(IntLattice(((-2, 1, 0), (1, 5, 0), (0, 0, -1))), [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n),
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_polarization_matches_norm_table(self, case):
+        # the whole Check, from q by the polarization recurrence and from
+        # a table of integer norms on every class
+        n, cells, roots = case
+        lat = IntLattice(_even_gram(n, cells))
+        assert mod2_quadratic_census(lat, roots) == mod2_quadratic_census_norms(lat, roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n).map(
+                lambda cells: (n, cells)
+            )
+        )
+    )
+    def test_odd_norm_error_matches_norm_table(self, shape):
+        # on any symmetric Gram matrix: the same error, or the same Check
+        n, cells = shape
+        lat = IntLattice(_sym_gram(n, cells))
+        outcomes = []
+        for census in (mod2_quadratic_census, mod2_quadratic_census_norms):
+            try:
+                outcomes.append(census(lat, []))
+            except ArithmeticError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_polarization_identity_on_all_pairs(self):
         # q(x + y) = q(x) + q(y) + (x, y) mod 2, checked on every pair

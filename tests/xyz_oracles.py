@@ -13,6 +13,11 @@ which the library itself never needs.  The Jacobian oracle expands the
 determinant on the forms as given, without clearing denominators first.
 The rendering oracles copy a payload to JSON values first and then call
 json.dumps, where the library writes the raw values in one walk.
+The lattice oracles search the whole space for short vectors, x and -x
+alike, summing each level's centre afresh at every node, and take the
+mod-2 census from a table of integer norms on all classes; the library
+searches half the space with running centres and builds q from the
+polarization identity on its mod-2 Gram rows.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import perm
+from math import isqrt, lcm, perm
 from typing import Sequence
 
 from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
 from delpezzo1 import U_FORM, validate_seed
 from delpezzo1.curve import CurveBundle, SeedPoly, _monomials, cubic_space, forms_rank
+from delpezzo1.lattice import IntLattice
 from delpezzo1.linalg import q_kernel_basis
 from delpezzo1.quotient import common_factor, qr_reduce, tri_eval_param
 from delpezzo1.serialize import Check
@@ -195,3 +201,101 @@ def text_two_step(payload: dict) -> str:
     lines: list[str] = []
     _flatten_two_step("", jsonable(payload), lines)
     return "\n".join(lines) + "\n"
+
+
+def enumerate_short_vectors_full(lat: IntLattice, norm: int) -> list[tuple[int, ...]]:
+    """Fincke-Pohst over the whole space: every x_i in its bounds, the centre summed per node.
+
+    The same Bareiss levels and integer isqrt bounds as the library; the
+    zero vector is skipped at the leaf.
+    """
+    n = lat.rank
+    a = [[-c for c in row] for row in lat.gram]
+    minors = [1]
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            raise ValueError("lattice is not negative definite")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // minors[k]
+        minors.append(pivot)
+    target = -norm
+    if target < 0:
+        return []
+    dens = [minors[i] * minors[i + 1] for i in range(n)]
+    scale = lcm(*dens)
+    levels = [(minors[i + 1], scale // den, a[i][i + 1 :]) for i, den in enumerate(dens)]
+    found: list[tuple[int, ...]] = []
+    _descend_full(levels, n - 1, target * scale, [0] * n, found)
+    return sorted(found)
+
+
+def _descend_full(levels: list, i: int, rem: int, x: list[int], found: list) -> None:
+    den, w, coef = levels[i]
+    cnum = sum(c * xj for c, xj in zip(coef, x[i + 1 :]))
+    bound = isqrt(rem // w)
+    for xi in range(-((bound + cnum) // den), (bound - cnum) // den + 1):
+        x[i] = xi
+        s = xi * den + cnum
+        rest = rem - w * s * s
+        if i == 0:
+            if rest == 0 and any(x):
+                found.append(tuple(x))
+        else:
+            _descend_full(levels, i - 1, rest, x, found)
+    x[i] = 0
+
+
+def _mask(v: Sequence[int]) -> int:
+    return sum((c & 1) << i for i, c in enumerate(v))
+
+
+def mod2_quadratic_census_norms(lat: IntLattice, roots: list) -> Check:
+    """The mod-2 census from a table of integer norms on every class.
+
+    norm(m) = norm(m - e_i) + g_ii + 2 sum_(j in m - e_i) g_ij for i the
+    lowest bit of m; q(m) is norm(m)/2 mod 2, and the first odd norm in
+    mask order raises ArithmeticError.
+    """
+    n = lat.rank
+    g = lat.gram
+    norms = [0] * (1 << n)
+    qvals = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        row = g[i]
+        norm = norms[rest] + row[i] + 2 * sum(row[j] for j in range(i + 1, n) if rest >> j & 1)
+        if norm % 2:
+            raise ArithmeticError(f"odd norm {norm}: q is defined on even lattices only")
+        norms[mask] = norm
+        qvals[mask] = (norm // 2) & 1
+    q1 = sum(qvals)
+    q0 = (1 << n) - 1 - q1
+
+    root_masks = sorted({_mask(r) for r in roots})
+    roots_q1 = all(qvals[m] == 1 for m in root_masks)
+    # odd[m] has bit j set when (e_j, m) is odd, the XOR of the mod-2 Gram
+    # rows over the bits of m
+    rows2 = [_mask(row) for row in g]
+    odd = {}
+    for m in root_masks:
+        acc = 0
+        for i in range(n):
+            if m >> i & 1:
+                acc ^= rows2[i]
+        odd[m] = acc
+    preserve = all(qvals[m] == 1 or not odd[m] for m in root_masks)
+    return Check(
+        "mod2_census",
+        (q1, q0, len(roots), len(root_masks)) == (120, 135, 240, 120) and roots_q1 and preserve,
+        {
+            "nonzero_q1": q1,
+            "nonzero_q0": q0,
+            "root_count": len(roots),
+            "root_class_count": len(root_masks),
+            "root_classes_all_q1": roots_q1,
+            "reflections_preserve_q": preserve,
+        },
+    )
