@@ -20,8 +20,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from delpezzo1 import validate_seed
-from delpezzo1.curve import SeedError, SeedPoly
+from delpezzo1.curve import SeedError, SeedPoly, validate_seed
 
 X8_COEFFS = [-1, -1, 0, 0, 0, 0, 0, 0, 1]
 

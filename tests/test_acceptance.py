@@ -21,31 +21,30 @@ from conftest import (
     position_verdicts,
     random_valid_seed,
 )
-from delpezzo1 import (
+from delpezzo1.curve import (
     U_FORM,
     build_bundle,
-    certify_galois,
-    check_singular_cubic,
-    check_six_conic,
-    check_three_collinear,
+    build_v,
     cubic_space,
+    forms_rank,
     genus_of_model,
-    linalg_lemma_check,
-    mod2_quadratic_census,
     multiplicity_report,
     perfect_power_dichotomy,
     sextic_space,
     validate_seed,
 )
-from delpezzo1.curve import build_v, forms_rank
+from delpezzo1.galois import certify_galois
 from delpezzo1.lattice import (
     build_hyperbolic,
     enumerate_short_vectors,
     f8s_iso_check,
+    linalg_lemma_check,
+    mod2_quadratic_census,
     orth_complement,
     picard_model_check,
 )
 from delpezzo1.linalg import f2_det, frac_is_square
+from delpezzo1.position import check_singular_cubic, check_six_conic, check_three_collinear
 
 
 def report(criterion: int, label: str, ok: bool):

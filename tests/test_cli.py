@@ -312,6 +312,34 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert offenders == []
 
 
+IMPORT_PROBE = """
+import importlib, json, sys
+
+def loaded_after(name):
+    for key in [k for k in sys.modules if k == "delpezzo1" or k.startswith("delpezzo1.")]:
+        del sys.modules[key]
+    importlib.import_module(name)
+    return sorted(k.split(".")[1] for k in sys.modules if k.startswith("delpezzo1."))
+
+print(json.dumps({name: loaded_after(name) for name in sys.argv[1:]}))
+"""
+
+
+def test_root_imports_nothing_and_each_module_imports_first():
+    # the root re-exports nothing, so importing one module loads only what
+    # it imports, and any module can come first without an import cycle
+    stems = sorted(p.stem for p in Path(delpezzo1.__file__).parent.glob("*.py") if p.stem != "__init__")
+    assert "lattice" in stems
+    names = ["delpezzo1"] + [f"delpezzo1.{stem}" for stem in stems]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *names], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["delpezzo1"] == []
+    assert not {"curve", "position", "galois", "quotient", "cli"} & set(loaded["delpezzo1.lattice"])
+
+
 def test_cli_imports_one_entry_point_per_layer():
     # the construct, lattice and Galois reports are built in their own
     # modules; cli.py builds no Check but the Galois verdict that verify

@@ -21,18 +21,18 @@ from conftest import (
     random_valid_seed,
     seed_polys,
 )
-from delpezzo1 import (
+from delpezzo1 import curve
+from delpezzo1.curve import (
     SeedError,
-    TriPoly,
     U_FORM,
-    UniPoly,
+    _nth_root_form,
     amap,
     build_bundle,
     build_q,
     build_v,
     build_w,
     cubic_space,
-    curve,
+    forms_rank,
     genus_of_model,
     multiplicity_report,
     perfect_power_dichotomy,
@@ -40,10 +40,10 @@ from delpezzo1 import (
     validate_seed,
     verify_bundle,
 )
-from delpezzo1.curve import _nth_root_form, forms_rank
 from delpezzo1.quotient import tri_eval_param
 from delpezzo1.serialize import Check
-from delpezzo1.unipoly import CERT_PRIME
+from delpezzo1.tripoly import TriPoly
+from delpezzo1.unipoly import CERT_PRIME, UniPoly
 from xyz_oracles import (
     apply_ops,
     constraint_rows,

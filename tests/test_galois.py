@@ -12,8 +12,16 @@ from conftest import (
     position_verdicts,
     random_valid_seed,
 )
-from delpezzo1 import certify_galois, ddf_degree_multiset, galois_check, validate_seed
-from delpezzo1.galois import A8_CERTIFIED, INCONCLUSIVE, S8_CERTIFIED, GaloisCertificate
+from delpezzo1.curve import validate_seed
+from delpezzo1.finitefield import ddf_degree_multiset
+from delpezzo1.galois import (
+    A8_CERTIFIED,
+    INCONCLUSIVE,
+    S8_CERTIFIED,
+    GaloisCertificate,
+    certify_galois,
+    galois_check,
+)
 
 
 def test_worked_seed_is_s8_certified(seed_x8):

@@ -18,14 +18,12 @@ from conftest import (
     random_valid_seed,
     seed_polys,
 )
-from delpezzo1 import (
-    U_FORM,
-    build_v,
+from delpezzo1.curve import U_FORM, build_v, validate_seed
+from delpezzo1.position import (
     check_singular_cubic,
     check_six_conic,
     check_three_collinear,
     position_checks,
-    validate_seed,
 )
 from delpezzo1.quotient import common_factor, tri_eval_param
 from delpezzo1.tripoly import TriPoly

@@ -30,8 +30,15 @@ from math import isqrt, lcm, perm
 from typing import Sequence
 
 from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
-from delpezzo1 import U_FORM, validate_seed
-from delpezzo1.curve import CurveBundle, SeedPoly, _monomials, cubic_space, forms_rank
+from delpezzo1.curve import (
+    U_FORM,
+    CurveBundle,
+    SeedPoly,
+    _monomials,
+    cubic_space,
+    forms_rank,
+    validate_seed,
+)
 from delpezzo1.lattice import IntLattice
 from delpezzo1.linalg import q_kernel_basis
 from delpezzo1.quotient import common_factor, qr_reduce, tri_eval_param
