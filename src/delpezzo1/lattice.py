@@ -3,7 +3,7 @@
 Covers the rank-(10-d) odd hyperbolic lattice with its distinguished
 vector omega = -3 e_0 + e_1 + ... + e_{9-d}, the orthogonal complement
 (the E8 or E7 root lattice with reversed sign), short-vector enumeration
-from one fraction-free elimination of the Gram matrix with integer isqrt
+on linalg's Bareiss elimination of the Gram matrix with integer isqrt
 bounds, and four checks returned as
 :class:`~delpezzo1.serialize.Check` values: the mod-2 identification of
 the complement with F2^8, the blow-up model of the rank-9 Picard lattice,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import mul, neg
 from typing import Sequence
 
-from .linalg import bareiss_det, f2_det, f2_rank, int_functional_kernel
+from .linalg import bareiss, bareiss_det, f2_det, f2_rank, int_functional_kernel
 from .serialize import Check
 
 Vector = tuple[int, ...]
@@ -119,15 +119,16 @@ def orth_complement(lat: IntLattice, v: Vector) -> Sublattice:
 def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
     """All vectors of the given self-pairing in a negative definite lattice.
 
-    Fincke-Pohst depth-first search on Python ints.  A Bareiss elimination
-    of A = -Gram without pivoting leaves row i as U_i, with U_i[i] the
-    leading minor Delta_(i+1) of A, and with Delta_0 = 1
+    Fincke-Pohst depth-first search on Python ints.  linalg.bareiss of
+    A = -Gram leaves row i as U_i; with no swap U_i[i] is the leading
+    minor Delta_(i+1) of A, and with Delta_0 = 1
 
         Q(x) = -(x, x) = sum_i (U_i . x)^2 / (Delta_i Delta_(i+1)).
 
-    A pivot Delta_(i+1) <= 0 raises ValueError, before any search and for
-    every norm; by Sylvester's criterion one occurs exactly when the
-    lattice is not negative definite.  Scaled by
+    A swap, a None or a pivot <= 0 raises ValueError, before any search
+    and for every norm.  By Sylvester's criterion that is exactly when the
+    lattice is not negative definite: the first swap or None comes where a
+    leading minor is 0, and without one the pivots are the minors.  Scaled by
     M = lcm_i Delta_i Delta_(i+1), level i is s_i = U_i . x with the
     integer weight M / (Delta_i Delta_(i+1)), so the bound on s_i is an
     isqrt; no floating point enters any comparison.
@@ -140,35 +141,27 @@ def enumerate_short_vectors(lat: IntLattice, norm: int) -> list[Vector]:
     as a running sum: fixing x_j adds U_k[j] x_j to the centre of every
     level k < j, so no node sums over the coordinates above it.
     """
-    n = lat.rank
-    a = [[-c for c in row] for row in lat.gram]
-    minors = [1]
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise ValueError("lattice is not negative definite")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // minors[k]
-        minors.append(pivot)
-    target = -norm
-    if target < 0:
+    u, swaps = bareiss([[-c for c in row] for row in lat.gram]) or ([], 1)
+    minors = [1] + [row[i] for i, row in enumerate(u)]
+    if swaps or min(minors) <= 0:
+        raise ValueError("lattice is not negative definite")
+    if norm > 0:
         return []
-    dens = [minors[i] * minors[i + 1] for i in range(n)]
+    dens = [a * b for a, b in zip(minors, minors[1:])]
     scale = math.lcm(*dens)
     # level j: the pivot, the weight, and the column U_0[j], ..., U_(j-1)[j]
     levels = [
-        (minors[j + 1], scale // den, tuple(a[k][j] for k in range(j)))
+        (minors[j + 1], scale // den, tuple(u[k][j] for k in range(j)))
         for j, den in enumerate(dens)
     ]
-    rem = target * scale
-    x = [0] * n
+    rem = -norm * scale
+    x = [0] * lat.rank
     found: list[Vector] = []
     for top, (den, w, col) in enumerate(levels):
         for xt in range(1, math.isqrt(rem // w) // den + 1):
             x[top] = xt
             s = xt * den
-            _descend(levels, top - 1, rem - w * s * s, [u * xt for u in col], x, found)
+            _descend(levels, top - 1, rem - w * s * s, [c * xt for c in col], x, found)
         x[top] = 0
     found += [tuple(map(neg, v)) for v in found]
     return sorted(found)
@@ -255,9 +248,9 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
     generate S8 acting on e_1, ..., e_8; both fix coordinate 0, so dropping
     it commutes with them, and the identification is equivariant when the
     span is stable under both (adding the permuted basis keeps the rank)
-    and both fix omega.  The witness also records the form the
-    identification transports: the mod-2 Gram rows of the lifts e_0 + e_i
-    of the standard basis (ones off the diagonal, zeros on it).
+    and both fix omega.  The form it transports, the mod-2 Gram rows of
+    the lifts e_0 + e_i of the standard basis, must have ones off the
+    diagonal and zeros on it: the form the independence lemma takes.
     """
     lat, omega, basis = marked.lattice, marked.omega, comp.ambient_basis
     masks = _masks(basis)
@@ -276,9 +269,11 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
     fixed = all(tuple(omega[t] for t in tau) == omega for tau in (swap, cycle))
 
     lifts = [tuple(int(k in (0, i)) for k in range(n)) for i in range(1, n)]
+    form = tuple(_masks(lat.gram_of(lifts)))
     return Check(
         "mod2_identification",
-        dim == 8 and omega_even and bijective and all(stable) and fixed,
+        dim == 8 and omega_even and bijective and all(stable) and fixed
+        and form == tuple(0xFF ^ (1 << i) for i in range(8)),
         {
             "complement_dimension": dim,
             "omega_pairing_even": omega_even,
@@ -286,7 +281,7 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
             "equivariant_swap": stable[0],
             "equivariant_cycle": stable[1],
             "all_ones_fixed": fixed,
-            "induced_form_rows": tuple(_masks(lat.gram_of(lifts))),
+            "induced_form_rows": form,
         },
     )
 

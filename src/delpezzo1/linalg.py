@@ -22,33 +22,38 @@ def frac_is_square(q: Fraction) -> bool:
     return int_is_square(q.numerator) and int_is_square(q.denominator)
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def bareiss(rows: list[list[int]]) -> tuple[list[list[int]], int] | None:
+    """Fraction-free elimination of a square integer matrix: (U, swaps), or None if singular.
+
+    The upper triangle of U is the eliminated matrix, its diagonal the
+    pivots.  A zero pivot swaps in the first lower row nonzero in its
+    column, counted in swaps.  With no swap pivot k is the leading minor
+    Delta_(k+1); the last pivot times (-1)^swaps is the determinant.
+    """
     m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    swaps, prev = 0, 1
+    for k in range(len(m)):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
+            i = next((i for i in range(k + 1, len(m)) if m[i][k] != 0), None)
+            if i is None:
+                return None
+            m[k], m[i] = m[i], m[k]
+            swaps += 1
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - row[k] * row_k[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return m, swaps
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix: its last Bareiss pivot, signed by the swaps."""
+    elim = bareiss(rows)
+    if elim is None:
+        return 0
+    u, swaps = elim
+    return (-1) ** swaps * u[-1][-1] if u else 1
 
 
 def q_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

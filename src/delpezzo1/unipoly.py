@@ -163,7 +163,7 @@ class UniPoly:
         if self.degree < dd:
             return UniPoly(), self
         lc = divisor.lc
-        g, c = _clear_denominators(divisor.coeffs if lc == 1 else [a / lc for a in divisor.coeffs])
+        g, c = _clear_denominators(divisor.monic().coeffs)
         rem, d = _clear_denominators(self.coeffs)
         low = g[:-1]
         quot = [0] * (len(rem) - dd)
@@ -233,7 +233,7 @@ class UniPoly:
         n, m, lc = self.degree, other.degree, self.lc
         if n == 0:
             return lc**m
-        f_int, c = _clear_denominators([a / lc for a in self.coeffs])
+        f_int, c = _clear_denominators(self.monic().coeffs)
         col, d = _clear_denominators((other % self).coeffs)
         col += [0] * (n - len(col))
         cols = [col]

@@ -296,6 +296,20 @@ def test_no_module_imports_random():
     assert offenders == []
 
 
+def test_no_assert_or_debug_so_python_O_changes_nothing():
+    # python -O strips assert statements and sets __debug__ to False; with
+    # neither in the package, every run under -O is the run without it
+    paths = sorted(Path(delpezzo1.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    offenders = [
+        (path.name, node.lineno)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert offenders == []
+
+
 def test_no_module_imports_a_private_name_of_a_sibling():
     # each layer hands its siblings finished values through public names;
     # tests may still reach private helpers
@@ -456,9 +470,11 @@ def test_a_call_leaves_no_cyclic_garbage(argv, fmt):
 @pytest.mark.parametrize("case", DIGESTS, ids=lambda case: " ".join(case["argv"]))
 def test_output_bytes_match_recorded_digests(case, capsys):
     code = main(case["argv"])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    # a verdict writes nothing to stderr; a failure is reported in one line
+    assert len(err.splitlines()) == (0 if code in (0, 1) else 1)
 
 
 def _count_calls(monkeypatch, home, name: str) -> list:

@@ -18,7 +18,7 @@ from delpezzo1.lattice import (
     orth_complement,
     picard_model_check,
 )
-from delpezzo1.linalg import f2_det, f2_rank
+from delpezzo1.linalg import bareiss, bareiss_det, f2_det, f2_rank
 from xyz_oracles import enumerate_short_vectors_full, mod2_quadratic_census_norms
 
 
@@ -157,6 +157,16 @@ class TestShortVectors:
         # the first pivot is positive; the second leading minor is 0 or -3
         with pytest.raises(ValueError, match="not negative definite"):
             enumerate_short_vectors(IntLattice(gram), norm)
+
+    @pytest.mark.parametrize("norm", [-2, 2])
+    def test_indefinite_with_swapped_positive_pivots_rejected(self, norm):
+        # -G = diag(H, H), H = [[0, 1], [1, 0]]: two swaps leave every pivot
+        # and the determinant positive, so only the swap shows indefiniteness
+        h = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0))
+        assert bareiss([[-c for c in row] for row in h])[1] == 2
+        assert bareiss_det([[-c for c in row] for row in h]) == 1
+        with pytest.raises(ValueError, match="not negative definite"):
+            enumerate_short_vectors(IntLattice(h), norm)
 
     def test_antipodal_closure(self):
         marked = build_hyperbolic(1)
@@ -304,6 +314,24 @@ class TestF8S:
         check = f8s_iso_check(marked, _with_basis(lat, basis))
         assert check.witness["complement_dimension"] == 8
         assert not check.witness["omega_pairing_even"]
+        assert not check.passed
+
+    def test_transported_form_off_the_lemma_fails(self):
+        # (e_1, e_1) = (e_2, e_2) = 0 and (e_1, e_2) = 1 change G by a matrix
+        # whose rows pair evenly with omega: rank, evenness, equivariance and
+        # omega hold, but the lifts e_0 + e_1, e_0 + e_2 now pair to 1 with
+        # themselves and to 0 with each other
+        marked, comp = _d1()
+        gram = [list(row) for row in marked.lattice.gram]
+        gram[1][1] = gram[2][2] = 0
+        gram[1][2] = gram[2][1] = 1
+        lat = IntLattice(tuple(map(tuple, gram)))
+        check = f8s_iso_check(MarkedLattice(lat, marked.omega), comp)
+        rep = check.witness
+        assert rep["complement_dimension"] == 8 and rep["bijective"]
+        assert rep["omega_pairing_even"] and rep["all_ones_fixed"]
+        assert rep["equivariant_swap"] and rep["equivariant_cycle"]
+        assert rep["induced_form_rows"][:2] == (0xFF ^ (1 << 1), 0xFF ^ (1 << 0))
         assert not check.passed
 
     def test_omega_moved_by_the_swap_fails(self):

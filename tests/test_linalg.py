@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from delpezzo1.linalg import (
+    bareiss,
     bareiss_det,
     f2_det,
     f2_rank,
@@ -37,6 +39,58 @@ def test_bareiss_det():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
     m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
     assert bareiss_det(m) == 3 * (25 - 54) - 1 * (5 - 18) + 4 * (6 - 10)
+    assert bareiss_det([]) == 1
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        * math.prod(rows[i][p[i]] for i in range(n))
+        for p in permutations(range(n))
+    )
+
+
+def test_bareiss_counts_swaps():
+    # the 3-cycle permutation matrix swaps at columns 0 and 1: det = +1
+    u, swaps = bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert swaps == 2 and [u[k][k] for k in range(3)] == [1, 1, 1]
+    assert bareiss([[0, 1], [1, 0]])[1] == 1
+    assert bareiss([[2, 1], [1, 3]])[1] == 0
+    assert bareiss([]) == ([], 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[0, 1], [0, 2]],
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [0, 1, 0], [0, 2, 0]],
+    ],
+)
+def test_bareiss_singular_is_none(rows):
+    assert bareiss(rows) is None
+    assert bareiss_det(rows) == 0
+
+
+def test_bareiss_pivots_without_a_swap_are_the_leading_minors():
+    rng = random.Random(47)
+    unswapped = 0
+    for n in range(1, 6):
+        for _ in range(80):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert bareiss_det(rows) == _leibniz_det(rows)
+            elim = bareiss(rows)
+            if elim is None or elim[1]:
+                continue
+            unswapped += 1
+            u = elim[0]
+            assert [u[k][k] for k in range(n)] == [
+                _leibniz_det([row[: k + 1] for row in rows[: k + 1]]) for k in range(n)
+            ]
+    assert unswapped > 200
 
 
 def test_q_kernel_basis():
