@@ -26,7 +26,7 @@ from math import lcm
 from typing import Sequence
 
 from .linalg import q_kernel_basis, q_rank
-from .quotient import common_factor, qr_reduce, tri_eval_param
+from .quotient import common_factor, tri_eval_param
 from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
 from .unipoly import Scalar, UniPoly
@@ -157,7 +157,7 @@ def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, UniPoly]:
     h = seed.h
     f_sextic = amap(h * h)
     fx = f_sextic.derivative("x")
-    p_reduced = qr_reduce(fx.param_eval(), h)
+    p_reduced = tri_eval_param(fx, h)
     g_cubic = amap(p_reduced)
     x_minus_y3 = TriPoly({(1, 0, 0): 1, (0, 3, 0): -1})
     w = (f_sextic - x_minus_y3 * g_cubic).homogenize(6)

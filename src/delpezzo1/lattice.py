@@ -48,9 +48,11 @@ class IntLattice:
 
     @property
     def rank(self) -> int:
+        """The number of basis vectors."""
         return len(self.gram)
 
     def pair(self, x: Vector, y: Vector) -> int:
+        """The pairing (x, y) = x^T G y."""
         return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi)
 
     def functional(self, v: Vector) -> Vector:
@@ -64,23 +66,17 @@ class IntLattice:
 
     @property
     def determinant(self) -> int:
+        """The determinant of the Gram matrix."""
         return bareiss_det([list(r) for r in self.gram])
 
     @property
     def is_even(self) -> bool:
+        """Whether every (x, x) is even, which holds exactly when the diagonal is."""
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class MarkedLattice:
-    """Hyperbolic lattice together with its distinguished vector."""
-
-    lattice: IntLattice
-    omega: Vector
-
-
-def build_hyperbolic(d: int) -> MarkedLattice:
-    """I^{1,9-d} with omega = -3 e_0 + e_1 + ... + e_{9-d}; (omega, omega) = d."""
+def build_hyperbolic(d: int) -> tuple[IntLattice, Vector]:
+    """I^{1,9-d} and omega = -3 e_0 + e_1 + ... + e_{9-d}; (omega, omega) = d."""
     if d not in (1, 2):
         raise ValueError("d must be 1 or 2")
     n = 10 - d
@@ -88,29 +84,19 @@ def build_hyperbolic(d: int) -> MarkedLattice:
         tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n))
         for i in range(n)
     )
-    omega = tuple([-3] + [1] * (n - 1))
-    return MarkedLattice(IntLattice(gram), omega)
+    return IntLattice(gram), tuple([-3] + [1] * (n - 1))
 
 
-@dataclass(frozen=True)
-class Sublattice:
-    """Orthogonal complement with its Gram matrix and ambient basis."""
-
-    lattice: IntLattice
-    ambient_basis: tuple[Vector, ...]
-
-
-def orth_complement(lat: IntLattice, v: Vector) -> Sublattice:
-    """Integer kernel of pairing-with-v, with the induced Gram matrix."""
+def orth_complement(lat: IntLattice, v: Vector) -> tuple[IntLattice, tuple[Vector, ...]]:
+    """Integer kernel of pairing-with-v: its induced lattice and its basis in `lat`."""
     if math.gcd(*v) != 1:
         raise ValueError("vector must be primitive")
     w = lat.functional(v)
     if sum(map(mul, v, w)) == 0:
         raise ValueError("vector must have nonzero self-pairing")
     g = math.gcd(*w)
-    basis = int_functional_kernel([c // g for c in w])
-    vecs = tuple(tuple(b) for b in basis)
-    return Sublattice(IntLattice(lat.gram_of(vecs)), vecs)
+    basis = tuple(tuple(b) for b in int_functional_kernel([c // g for c in w]))
+    return IntLattice(lat.gram_of(basis)), basis
 
 
 # -- short vectors ---------------------------------------------------------
@@ -238,21 +224,21 @@ def _masks(vs: Sequence[Vector]) -> list[int]:
     return masks
 
 
-def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
+def f8s_iso_check(lat: IntLattice, omega: Vector, basis: Sequence[Vector]) -> Check:
     """Check the mod-2 identification of the omega-complement with F2^8.
 
-    `marked` is I^{1,8} with omega and `comp` its computed complement.  The
-    reduced basis of `comp` must have rank 8 and pair evenly with omega,
-    so it spans the mod-2 orthogonal of omega; dropping coordinate 0 must
-    map that span onto F2^8.  The swap (1 2) and the 8-cycle (1 ... 8)
-    generate S8 acting on e_1, ..., e_8; both fix coordinate 0, so dropping
-    it commutes with them, and the identification is equivariant when the
-    span is stable under both (adding the permuted basis keeps the rank)
-    and both fix omega.  The form it transports, the mod-2 Gram rows of
-    the lifts e_0 + e_i of the standard basis, must have ones off the
-    diagonal and zeros on it: the form the independence lemma takes.
+    `lat` is I^{1,8}, `omega` its distinguished vector and `basis` the
+    ambient basis of the computed complement.  The reduced `basis` must
+    have rank 8 and pair evenly with omega, so it spans the mod-2
+    orthogonal of omega; dropping coordinate 0 must map that span onto
+    F2^8.  The swap (1 2) and the 8-cycle (1 ... 8) generate S8 acting on
+    e_1, ..., e_8; both fix coordinate 0, so dropping it commutes with
+    them, and the identification is equivariant when the span is stable
+    under both (adding the permuted basis keeps the rank) and both fix
+    omega.  The form it transports, the mod-2 Gram rows of the lifts
+    e_0 + e_i of the standard basis, must have ones off the diagonal and
+    zeros on it: the form the independence lemma takes.
     """
-    lat, omega, basis = marked.lattice, marked.omega, comp.ambient_basis
     masks = _masks(basis)
     dim = f2_rank(masks)
     g_omega = lat.functional(omega)
@@ -286,17 +272,16 @@ def f8s_iso_check(marked: MarkedLattice, comp: Sublattice) -> Check:
     )
 
 
-def picard_model_check(marked: MarkedLattice) -> Check:
+def picard_model_check(lat: IntLattice, k: Vector) -> Check:
     """Gram identities in the blow-up model of the rank-9 Picard lattice.
 
-    `marked` is build_hyperbolic(1): basis f_0, l_1, ..., l_8 with
-    f_0^2 = 1 and l_b^2 = -1, and omega the canonical class
+    `lat` and `k` are build_hyperbolic(1): basis f_0, l_1, ..., l_8 with
+    f_0^2 = 1 and l_b^2 = -1, and the canonical class
     K = -3 f_0 + sum l_b.  The vectors v_i = l_i + K pair to -2 on the
     diagonal and -1 off it, and their mod-2 images are linearly independent
     with a nonsingular all-ones-off-diagonal pairing matrix.  Every
     identity on the v_i is read from their one Gram matrix.
     """
-    lat, k = marked.lattice, marked.omega
     n = lat.rank - 1
     vs = []
     for i in range(1, lat.rank):
@@ -384,24 +369,24 @@ def lattice_checks(d: int) -> list[Check]:
     omega) = d and 240 (E8) or 126 (E7) roots.  For d = 1 the four mod-2
     checks follow, reported with at most the witness fields named here.
     """
-    marked = build_hyperbolic(d)
-    comp = orth_complement(marked.lattice, marked.omega)
-    roots = enumerate_short_vectors(comp.lattice, -2)
-    pairing = marked.lattice.pair(marked.omega, marked.omega)
-    det = comp.lattice.determinant
+    lat, omega = build_hyperbolic(d)
+    comp, basis = orth_complement(lat, omega)
+    roots = enumerate_short_vectors(comp, -2)
+    pairing = lat.pair(omega, omega)
+    det = comp.determinant
     checks = [
         Check("omega_self_pairing", pairing == d, {"omega_self_pairing": pairing}),
-        Check("complement_rank", comp.lattice.rank == 9 - d, {}),
+        Check("complement_rank", comp.rank == 9 - d, {}),
         Check("complement_determinant", abs(det) == d, {"complement_determinant": det}),
-        Check("complement_even", comp.lattice.is_even, {}),
+        Check("complement_even", comp.is_even, {}),
         Check("root_count", len(roots) == (240 if d == 1 else 126), {"root_count": len(roots)}),
     ]
     if d == 1:
-        pic = picard_model_check(marked)
-        census = mod2_quadratic_census(comp.lattice, roots)
+        pic = picard_model_check(lat, omega)
+        census = mod2_quadratic_census(comp, roots)
         counts = {"census_q1": census.witness["nonzero_q1"], "census_q0": census.witness["nonzero_q0"]}
         checks += [
-            Check("mod2_identification", f8s_iso_check(marked, comp).passed, {}),
+            Check("mod2_identification", f8s_iso_check(lat, omega, basis).passed, {}),
             Check("picard_gram", pic.passed, {"picard_diag": pic.witness["diag_pairings"]}),
             Check("mod2_census", census.passed, counts),
             Check("independence_lemma_small", linalg_lemma_check().passed, {}),

@@ -201,17 +201,17 @@ def test_criterion_7_lattice_suite():
     t0 = time.perf_counter()
     ok = True
     for d, rank, det, count in ((1, 8, 1, 240), (2, 7, 2, 126)):
-        marked = build_hyperbolic(d)
-        ok &= marked.lattice.pair(marked.omega, marked.omega) == d
-        comp = orth_complement(marked.lattice, marked.omega)
-        ok &= comp.lattice.rank == rank
-        ok &= abs(comp.lattice.determinant) == det
-        roots = enumerate_short_vectors(comp.lattice, -2)
+        lat, omega = build_hyperbolic(d)
+        ok &= lat.pair(omega, omega) == d
+        comp, basis = orth_complement(lat, omega)
+        ok &= comp.rank == rank
+        ok &= abs(comp.determinant) == det
+        roots = enumerate_short_vectors(comp, -2)
         if d == 1:
-            ok &= comp.lattice.is_even
-            ok &= mod2_quadratic_census(comp.lattice, roots).passed
-            ok &= picard_model_check(marked).passed
-            ok &= f8s_iso_check(marked, comp).passed
+            ok &= comp.is_even
+            ok &= mod2_quadratic_census(comp, roots).passed
+            ok &= picard_model_check(lat, omega).passed
+            ok &= f8s_iso_check(lat, omega, basis).passed
         ok &= len(roots) == count
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0

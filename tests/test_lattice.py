@@ -2,13 +2,11 @@ import math
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo1.lattice import (
     IntLattice,
-    MarkedLattice,
-    Sublattice,
     build_hyperbolic,
     enumerate_short_vectors,
     f8s_iso_check,
@@ -76,12 +74,12 @@ class TestIntLattice:
 class TestHyperbolic:
     def test_omega_self_pairing(self):
         for d in (1, 2):
-            marked = build_hyperbolic(d)
-            assert marked.lattice.rank == 10 - d
-            assert marked.lattice.pair(marked.omega, marked.omega) == d
+            lat, omega = build_hyperbolic(d)
+            assert lat.rank == 10 - d
+            assert lat.pair(omega, omega) == d
 
     def test_basis_orthogonality(self):
-        lat = build_hyperbolic(1).lattice
+        lat, _ = build_hyperbolic(1)
         e = lambda i: tuple(int(k == i) for k in range(9))
         assert lat.pair(e(0), e(0)) == 1
         for i in range(1, 9):
@@ -95,59 +93,83 @@ class TestHyperbolic:
 
 class TestComplement:
     def test_e8_shape(self):
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        assert comp.lattice.rank == 8
-        assert comp.lattice.is_even
-        assert abs(comp.lattice.determinant) == 1
-        for b in comp.ambient_basis:
-            assert marked.lattice.pair(b, marked.omega) == 0
+        lat, omega = build_hyperbolic(1)
+        comp, basis = orth_complement(lat, omega)
+        assert comp.rank == 8
+        assert comp.is_even
+        assert abs(comp.determinant) == 1
+        for b in basis:
+            assert lat.pair(b, omega) == 0
 
     def test_e7_shape(self):
-        marked = build_hyperbolic(2)
-        comp = orth_complement(marked.lattice, marked.omega)
-        assert comp.lattice.rank == 7
-        assert abs(comp.lattice.determinant) == 2
+        lat, omega = build_hyperbolic(2)
+        comp, _ = orth_complement(lat, omega)
+        assert comp.rank == 7
+        assert abs(comp.determinant) == 2
 
     def test_nonprimitive_rejected(self):
-        lat = build_hyperbolic(1).lattice
+        lat, _ = build_hyperbolic(1)
         with pytest.raises(ValueError):
             orth_complement(lat, tuple([2] * 9))
 
     def test_null_vector_rejected(self):
-        lat = build_hyperbolic(1).lattice
+        lat, _ = build_hyperbolic(1)
         null = tuple([1, 1] + [0] * 7)  # e0 + e1 has self-pairing 0
         with pytest.raises(ValueError):
             orth_complement(lat, null)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+                st.integers(1, 3),
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+            )
+        )
+    )
+    @example((2, [1, 0, 0, 1], 2, (1, 1)))
+    @example((4, [1, 0, 0, 0, 0] * 3 + [1], 2, (1, 0, 2, -3)))
+    def test_complement_of_any_vector_is_the_saturated_kernel(self, case):
+        # a scale of 2 or 3 (2 I among them) makes gcd(G v) > 1, so the
+        # functional is divided by it before its kernel is taken
+        n, cells, scale, v = case
+        lat = IntLattice(tuple(tuple(scale * c for c in row) for row in _sym_gram(n, cells)))
+        assume(math.gcd(*v) == 1 and lat.pair(v, v) != 0)
+        comp, basis = orth_complement(lat, v)
+        assert len(basis) == n - 1
+        assert all(lat.pair(b, v) == 0 for b in basis)
+        assert comp.gram == lat.gram_of(basis)
+        minors = [
+            bareiss_det([[b[k] for k in range(n) if k != j] for b in basis]) for j in range(n)
+        ]
+        assert math.gcd(*minors) == 1
 
 
 class TestShortVectors:
     def test_root_counts(self):
         for d, expected in ((1, 240), (2, 126)):
-            marked = build_hyperbolic(d)
-            comp = orth_complement(marked.lattice, marked.omega)
-            roots = enumerate_short_vectors(comp.lattice, -2)
+            comp, _ = orth_complement(*build_hyperbolic(d))
+            roots = enumerate_short_vectors(comp, -2)
             assert len(roots) == expected
-            assert all(comp.lattice.pair(r, r) == -2 for r in roots)
+            assert all(comp.pair(r, r) == -2 for r in roots)
             assert roots == sorted(roots)
 
     def test_odd_norm_absent_on_even_lattice(self):
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        assert enumerate_short_vectors(comp.lattice, -1) == []
+        comp, _ = orth_complement(*build_hyperbolic(1))
+        assert enumerate_short_vectors(comp, -1) == []
 
     def test_zero_norm_is_empty(self):
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        assert enumerate_short_vectors(comp.lattice, 0) == []
+        comp, _ = orth_complement(*build_hyperbolic(1))
+        assert enumerate_short_vectors(comp, 0) == []
 
     def test_positive_norm_is_empty(self):
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        assert enumerate_short_vectors(comp.lattice, 2) == []
+        comp, _ = orth_complement(*build_hyperbolic(1))
+        assert enumerate_short_vectors(comp, 2) == []
 
     def test_indefinite_rejected(self):
-        lat = build_hyperbolic(1).lattice
+        lat, _ = build_hyperbolic(1)
         with pytest.raises(ValueError):
             enumerate_short_vectors(lat, -2)
 
@@ -169,18 +191,15 @@ class TestShortVectors:
             enumerate_short_vectors(IntLattice(h), norm)
 
     def test_antipodal_closure(self):
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        roots = set(enumerate_short_vectors(comp.lattice, -2))
+        comp, _ = orth_complement(*build_hyperbolic(1))
+        roots = set(enumerate_short_vectors(comp, -2))
         assert all(tuple(-c for c in r) in roots for r in roots)
 
     def test_root_pairing_distribution(self):
         # structural signature of the rank-8 root system: from any fixed
         # root, 56 roots pair to -1, 56 to +1, 126 to 0, plus the
         # antipode at +2; validates Gram and enumeration together
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        lat = comp.lattice
+        lat, _ = orth_complement(*build_hyperbolic(1))
         roots = enumerate_short_vectors(lat, -2)
         fixed = roots[0]
         counts = {}
@@ -194,8 +213,7 @@ class TestShortVectors:
     )
     def test_theta_series_coefficients(self, d, counts):
         # the first three theta-series coefficients of E8 and E7
-        marked = build_hyperbolic(d)
-        lat = orth_complement(marked.lattice, marked.omega).lattice
+        lat, _ = orth_complement(*build_hyperbolic(d))
         for norm, expected in zip((-2, -4, -6), counts):
             vectors = enumerate_short_vectors(lat, norm)
             assert len(vectors) == expected
@@ -251,19 +269,14 @@ class TestShortVectors:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("norm", [-2, -4, -6])
     def test_half_space_matches_full_search_on_the_complements(self, d, norm):
-        marked = build_hyperbolic(d)
-        self._assert_matches_full_search(orth_complement(marked.lattice, marked.omega).lattice, norm)
+        lat, _ = orth_complement(*build_hyperbolic(d))
+        self._assert_matches_full_search(lat, norm)
 
 
 def _d1():
-    marked = build_hyperbolic(1)
-    return marked, orth_complement(marked.lattice, marked.omega)
-
-
-def _with_basis(lat, basis):
-    """A Sublattice of `lat` spanned by `basis`, with its induced Gram matrix."""
-    gram = tuple(tuple(lat.pair(a, b) for b in basis) for a in basis)
-    return Sublattice(IntLattice(gram), tuple(basis))
+    """I^{1,8}, omega and the ambient basis of omega's complement."""
+    lat, omega = build_hyperbolic(1)
+    return lat, omega, orth_complement(lat, omega)[1]
 
 
 class TestF8S:
@@ -284,8 +297,8 @@ class TestF8S:
 
     def test_d2_complement_fails(self):
         # E7 has rank 7: its reduction cannot fill F2^8, though it is S7-stable
-        marked = build_hyperbolic(2)
-        check = f8s_iso_check(marked, orth_complement(marked.lattice, marked.omega))
+        lat, omega = build_hyperbolic(2)
+        check = f8s_iso_check(lat, omega, orth_complement(lat, omega)[1])
         rep = check.witness
         assert rep["complement_dimension"] == 7
         assert not rep["bijective"]
@@ -294,10 +307,10 @@ class TestF8S:
 
     def test_doubled_basis_vector_fails(self):
         # 2 b_3 reduces to 0; e_1 + e_4 leaves the span, which the cycle moves
-        marked, comp = _d1()
-        basis = list(comp.ambient_basis)
+        lat, omega, basis = _d1()
+        basis = list(basis)
         basis[3] = tuple(2 * c for c in basis[3])
-        check = f8s_iso_check(marked, _with_basis(marked.lattice, basis))
+        check = f8s_iso_check(lat, omega, basis)
         rep = check.witness
         assert rep["complement_dimension"] == 7
         assert not rep["bijective"]
@@ -307,11 +320,10 @@ class TestF8S:
     def test_basis_vector_pairing_oddly_with_omega_fails(self):
         # b + omega pairs to (omega, omega) = 1 with omega; the span still
         # has rank 8 and is S8-stable, so only the evenness test catches it
-        marked, comp = _d1()
-        lat, omega = marked.lattice, marked.omega
-        basis = list(comp.ambient_basis)
+        lat, omega, basis = _d1()
+        basis = list(basis)
         basis[0] = tuple(b + w for b, w in zip(basis[0], omega))
-        check = f8s_iso_check(marked, _with_basis(lat, basis))
+        check = f8s_iso_check(lat, omega, basis)
         assert check.witness["complement_dimension"] == 8
         assert not check.witness["omega_pairing_even"]
         assert not check.passed
@@ -321,12 +333,11 @@ class TestF8S:
         # whose rows pair evenly with omega: rank, evenness, equivariance and
         # omega hold, but the lifts e_0 + e_1, e_0 + e_2 now pair to 1 with
         # themselves and to 0 with each other
-        marked, comp = _d1()
-        gram = [list(row) for row in marked.lattice.gram]
+        lat, omega, basis = _d1()
+        gram = [list(row) for row in lat.gram]
         gram[1][1] = gram[2][2] = 0
         gram[1][2] = gram[2][1] = 1
-        lat = IntLattice(tuple(map(tuple, gram)))
-        check = f8s_iso_check(MarkedLattice(lat, marked.omega), comp)
+        check = f8s_iso_check(IntLattice(tuple(map(tuple, gram))), omega, basis)
         rep = check.witness
         assert rep["complement_dimension"] == 8 and rep["bijective"]
         assert rep["omega_pairing_even"] and rep["all_ones_fixed"]
@@ -336,9 +347,8 @@ class TestF8S:
 
     def test_omega_moved_by_the_swap_fails(self):
         # -3 e_0 + 3 e_1 + e_2 + ... + e_8 has omega's reduction but is not S8-fixed
-        marked, comp = _d1()
-        omega = (-3, 3) + marked.omega[2:]
-        check = f8s_iso_check(MarkedLattice(marked.lattice, omega), comp)
+        lat, omega, basis = _d1()
+        check = f8s_iso_check(lat, (-3, 3) + omega[2:], basis)
         assert check.witness["omega_pairing_even"]
         assert not check.witness["all_ones_fixed"]
         assert not check.passed
@@ -346,7 +356,7 @@ class TestF8S:
 
 class TestPicard:
     def test_gram_identities(self):
-        check = picard_model_check(build_hyperbolic(1))
+        check = picard_model_check(*build_hyperbolic(1))
         rep = check.witness
         assert rep["canonical_self_pairing"] == 1
         assert rep["diag_pairings"] == (-2,) * 8
@@ -359,14 +369,13 @@ class TestPicard:
         # the eight reduced vectors l_i + K pair to 0 on the diagonal and 1
         # off it mod 2, so the lemma's m = 8 determinant is their mod-2 Gram
         # determinant, and they are independent
-        marked = build_hyperbolic(1)
-        lat, k = marked.lattice, marked.omega
+        lat, k = build_hyperbolic(1)
         vs = [tuple(c + (j == i) for j, c in enumerate(k)) for i in range(1, 9)]
         assert all(lat.pair(a, b) & 1 == (a != b) for a in vs for b in vs)
         assert f2_rank([_reduce(v) for v in vs]) == 8
         lemma = linalg_lemma_check().witness
         m8 = lemma["determinants"][lemma["tuple_sizes"].index(8)]
-        assert picard_model_check(marked).witness["mod2_gram_det"] == m8 == 1
+        assert picard_model_check(lat, k).witness["mod2_gram_det"] == m8 == 1
 
 
 def _lift(mask, n):
@@ -402,9 +411,8 @@ def _reflections_preserve_q_by_search(lat, roots):
 
 
 def _e8_with_roots():
-    marked = build_hyperbolic(1)
-    comp = orth_complement(marked.lattice, marked.omega)
-    return comp.lattice, enumerate_short_vectors(comp.lattice, -2)
+    comp, _ = orth_complement(*build_hyperbolic(1))
+    return comp, enumerate_short_vectors(comp, -2)
 
 
 class TestCensus:
@@ -543,9 +551,7 @@ class TestCensus:
 
     def test_polarization_identity_on_all_pairs(self):
         # q(x + y) = q(x) + q(y) + (x, y) mod 2, checked on every pair
-        marked = build_hyperbolic(1)
-        comp = orth_complement(marked.lattice, marked.omega)
-        lat = comp.lattice
+        lat, _ = orth_complement(*build_hyperbolic(1))
         n = lat.rank
 
         def lift(mask):
@@ -641,9 +647,8 @@ class TestLatticeReport:
 
     def test_mod2_witnesses_come_from_the_detailed_checks(self):
         by_name = {c.name: c.witness for c in lattice_checks(1)}
-        marked = build_hyperbolic(1)
         assert by_name["picard_gram"] == {
-            "picard_diag": picard_model_check(marked).witness["diag_pairings"]
+            "picard_diag": picard_model_check(*build_hyperbolic(1)).witness["diag_pairings"]
         }
         assert by_name["mod2_census"] == {"census_q1": 120, "census_q0": 135}
         assert by_name["mod2_identification"] == by_name["independence_lemma_small"] == {}
