@@ -25,11 +25,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .finitefield import PrimeSkip, fp_deriv, fp_gcd, poly_mod_p
 from .linalg import q_kernel_basis, q_rank
 from .quotient import common_factor, tri_eval_param
 from .serialize import Check
 from .tripoly import Exponent, TriPoly, grlex_key
-from .unipoly import Scalar, UniPoly
+from .unipoly import CERT_PRIME, Scalar, UniPoly
 
 # The cuspidal cubic through every seed point, fixed once and for all.
 U_FORM = TriPoly({(1, 0, 2): 1, (0, 3, 0): -1})
@@ -72,6 +73,13 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
     largest bit length for an integer seed.  |c| <= 2^100, or p/q with
     |p|, q <= 10^6, keeps it at most 101.  A decimal exponent is checked
     before Fraction expands it (_decimal_exponent_checked).
+
+    Squarefreeness is certified modulo p = CERT_PRIME first: h is monic of
+    degree 8 < p, so neither h nor h' drops degree mod p, h' mod p is
+    fp_deriv(h mod p), and a gcd of degree 0 over F_p makes Res(h, h')
+    nonzero mod p, hence nonzero.  When p divides a denominator or the gcd
+    mod p is not constant, the certificate says nothing and the exact
+    h.gcd(h') decides.
     """
     try:
         h = UniPoly(map(_decimal_exponent_checked, coeffs))
@@ -94,7 +102,12 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
     height += (2 * max(dens).bit_length() + 3 * lcm(*dens).bit_length()) // 5
     if height > MAX_SEED_HEIGHT:
         raise SeedError("too-tall", f"height {height} bits, at most {MAX_SEED_HEIGHT}")
-    if h.gcd(h.derivative()).degree != 0:
+    try:
+        hp = poly_mod_p(h, CERT_PRIME)
+        certified = len(fp_gcd(hp, fp_deriv(hp, CERT_PRIME), CERT_PRIME)) == 1
+    except PrimeSkip:
+        certified = False
+    if not certified and h.gcd(h.derivative()).degree != 0:
         raise SeedError("not-squarefree", "gcd(h, h') is nonconstant")
     return SeedPoly(h)
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .finitefield import PrimeSkip, fp_gcd, poly_mod_p
@@ -25,8 +26,13 @@ CERT_PRIME = 2**31 - 1
 
 
 def as_fraction(c) -> Fraction:
-    """c itself if it is a Fraction, else Fraction(c)."""
-    return c if isinstance(c, Fraction) else Fraction(c)
+    """c itself if it is a Fraction, else Fraction(c).
+
+    type(c) is tested, not isinstance: an int then skips the abstract-base
+    check that isinstance pays, and a Fraction subclass becomes an equal
+    Fraction.
+    """
+    return c if type(c) is Fraction else Fraction(c)
 
 
 class UniPoly:
@@ -309,12 +315,13 @@ def power_sums(f: UniPoly, count: int) -> list[int]:
         raise ValueError("the integer power-sum kernel needs a monic integer polynomial")
     a = [c.numerator for c in reversed(fm.coeffs)]  # a[i]: coefficient of t^(n-i)
     n = fm.degree
+    low = a[1:]
     ps = [n]
     for k in range(1, count + 1):
-        m = min(k - 1, n)
-        s = sum(map(mul, a[1 : m + 1], reversed(ps[k - m : k])))
+        # zip stops at min(k, n) terms; for k <= n the last is a_k p_0 = n a_k
+        s = sum(map(mul, low, reversed(ps)))
         if k <= n:
-            s += k * a[k]
+            s += (k - n) * a[k]
         ps.append(-s)
     return ps
 
@@ -328,22 +335,42 @@ def from_power_sums(ps: Sequence[int]) -> UniPoly:
     that scaled roots by D scales the result back by 1/D.
     """
     a = [1]
+    tail = ps[1:]
     for k in range(1, len(ps)):
-        a.append(_exact_quotient(-sum(map(mul, a, reversed(ps[1 : k + 1]))), k))
+        a.append(_exact_quotient(-sum(map(mul, tail, reversed(a))), k))
     return UniPoly(reversed(a))
+
+
+@cache
+def _binomial_rows(count: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..count-1 of Pascal's triangle, built on the first call for count."""
+    rows = [(1,)]
+    for _ in range(count - 1):
+        row = rows[-1]
+        rows.append((1, *map(add, row, row[1:]), 1))
+    return tuple(rows[:count])
 
 
 def binomial_convolution(pf: Sequence[int], pg: Sequence[int]) -> list[int]:
     """Power sums of a+b over ordered pairs, from p_0..p_count of the a and of the b.
 
     p_k = sum_i C(k, i) pf_i pg_(k-i), the expansion of sum (a+b)^k over
-    all pairs; pf and pg have the same length.  Needs no division.
+    all pairs; pf and pg have the same length.  Needs no division.  The
+    binomial coefficients come from _binomial_rows, cached per length.
+    When pf is pg (a self-convolution) the terms i and k-i are equal, so
+    each such pair is summed once and doubled, and the middle term
+    C(k, k/2) pf_(k/2)^2 of an even k is added once.
     """
+    rows = _binomial_rows(len(pf))
+    if pf is not pg:
+        return [sum(map(mul, map(mul, row, pf), reversed(pg[: k + 1]))) for k, row in enumerate(rows)]
     sums: list[int] = []
-    binom_row = [1]
-    for p in range(len(pf)):
-        sums.append(sum(map(mul, map(mul, binom_row, pf), reversed(pg[: p + 1]))))
-        binom_row = [1] + [binom_row[j] + binom_row[j + 1] for j in range(p)] + [1]
+    for k, row in enumerate(rows):
+        half = (k + 1) // 2  # the i < k - i
+        s = sum(map(mul, map(mul, row, pf), reversed(pf[k - half + 1 : k + 1]))) << 1
+        if k % 2 == 0:
+            s += row[half] * pf[half] ** 2
+        sums.append(s)
     return sums
 
 

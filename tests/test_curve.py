@@ -2,6 +2,7 @@ import dataclasses
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -87,12 +88,44 @@ class TestValidateSeed:
             validate_seed([-1, -1, 1])
         assert info.value.code == "wrong-count"
 
-    def test_square_factor_rejected(self):
-        # (t-1)^2 (t^2+2t+3)(t^4-17t^2-...) is fiddly; take h = (t^4-2)^2
-        coeffs = [4, 0, 0, 0, -4, 0, 0, 0, 1]
-        with pytest.raises(SeedError) as info:
+    @staticmethod
+    def _count_gcds(monkeypatch) -> list:
+        calls = []
+        original = UniPoly.gcd
+
+        def counted(self, other):
+            calls.append(other.degree)
+            return original(self, other)
+
+        monkeypatch.setattr(UniPoly, "gcd", counted)
+        return calls
+
+    def test_squarefree_certified_mod_p_runs_no_gcd(self, monkeypatch):
+        calls = self._count_gcds(monkeypatch)
+        for coeffs in (X8_COEFFS, FIXED_FRACTION_COEFFS, COLLINEAR_BAD, INT_AT_CAP, FRACTION_AT_CAP):
             validate_seed(coeffs)
-        assert info.value.code == "not-squarefree"
+        assert calls == []
+
+    def test_double_root_mod_p_takes_the_exact_gcd(self, monkeypatch):
+        # roots 1 and 1 + p meet mod p = 2^31 - 1: h mod p has a double root,
+        # so the certificate says nothing, and the exact gcd accepts h
+        p = CERT_PRIME
+        h = prod((UniPoly([-r, 1]) for r in (1, 1 + p, 2, 3, 4, 5, 6, -(22 + p))), start=UniPoly([1]))
+        assert max(abs(c.numerator) for c in h.coeffs).bit_length() == 73
+        calls = self._count_gcds(monkeypatch)
+        assert validate_seed(list(h.coeffs)).h == h
+        assert calls == [7]
+
+    def test_square_factor_rejected(self, monkeypatch):
+        # h = (t^4-2)^2, and h with roots 1, 1, 2, 3, 4, 5, 6, -22; the
+        # certificate mod p says nothing on either, and the exact gcd rejects
+        repeated_root = prod((UniPoly([-r, 1]) for r in (1, 1, 2, 3, 4, 5, 6, -22)), start=UniPoly([1]))
+        calls = self._count_gcds(monkeypatch)
+        for coeffs in ([4, 0, 0, 0, -4, 0, 0, 0, 1], list(repeated_root.coeffs)):
+            with pytest.raises(SeedError) as info:
+                validate_seed(coeffs)
+            assert info.value.code == "not-squarefree"
+        assert calls == [7, 7]
 
     def test_rational_coefficients_accepted(self):
         seed = validate_seed(

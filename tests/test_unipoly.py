@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +24,12 @@ from delpezzo1.unipoly import (
     root_denominator,
     root_sum_poly,
 )
-from xyz_oracles import poly_value
+from xyz_oracles import (
+    binomial_convolution_rebuilt,
+    from_power_sums_sliced,
+    poly_value,
+    power_sums_sliced,
+)
 
 H8 = UniPoly([-1, -1, 0, 0, 0, 0, 0, 0, 1])  # t^8 - t - 1
 
@@ -430,6 +437,85 @@ class TestPowerSums:
         # p = (2, 1, 0) at degree 2 forces e2 = (p1^2 - p2) / 2 = 1/2
         with pytest.raises(ArithmeticError):
             from_power_sums([2, 1, 0])
+
+
+big_ints = st.integers(min_value=-(2**200), max_value=2**200)
+# the length drawn first, so that long lists are as likely as short ones
+big_int_lists = st.integers(1, 70).flatmap(lambda n: st.lists(big_ints, min_size=n, max_size=n))
+
+
+def _newton_outcome(fn, ps):
+    try:
+        return fn(ps)
+    except ArithmeticError as exc:
+        return ("ArithmeticError", str(exc))
+
+
+@st.composite
+def newton_inputs(draw):
+    """Power sums of a monic integer polynomial, one of them perturbed, or any ints."""
+    kind = draw(st.sampled_from(["exact", "perturbed", "arbitrary"]))
+    if kind == "arbitrary":
+        return draw(big_int_lists)
+    n = draw(st.integers(1, 30))
+    coeffs = draw(st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n))
+    ps = power_sums_sliced(UniPoly([*coeffs, 1]), len(coeffs))
+    if kind == "perturbed":
+        k = draw(st.integers(0, len(ps) - 1))
+        ps[k] += draw(st.integers(1, 6))
+    return ps
+
+
+class TestKernelOracles:
+    """The cached, symmetric and slice-free kernels against the rebuilt and sliced loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_int_lists)
+    def test_self_convolution(self, ps):
+        expected = binomial_convolution_rebuilt(ps, ps)
+        assert binomial_convolution(ps, ps) == expected
+        assert binomial_convolution(ps, list(ps)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_int_lists, st.randoms(use_true_random=False))
+    def test_convolution_of_two_sequences(self, pf, rng):
+        pg = [rng.randint(-(2**200), 2**200) for _ in pf]
+        assert binomial_convolution(pf, pg) == binomial_convolution_rebuilt(pf, pg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_int_lists, st.sampled_from([-2, -1, 0, 1, 5]))
+    @example([3], -1)
+    @example([0, -1], 0)
+    def test_power_sums(self, coeffs, offset):
+        # count below, equal to and above the degree n = len(coeffs)
+        f = UniPoly([*coeffs, 1])
+        count = max(0, f.degree + offset)
+        assert power_sums(f, count) == power_sums_sliced(f, count)
+
+    @settings(max_examples=100, deadline=None)
+    @given(newton_inputs())
+    @example([2, 1, 0])
+    @example([1])
+    def test_from_power_sums_raises_where_the_oracle_does(self, ps):
+        assert _newton_outcome(from_power_sums, ps) == _newton_outcome(from_power_sums_sliced, ps)
+
+    def test_rows_are_pascals_triangle(self):
+        rows = unipoly._binomial_rows(12)
+        assert rows == tuple(tuple(math.comb(k, i) for i in range(k + 1)) for k in range(12))
+        assert unipoly._binomial_rows(0) == ()
+        assert binomial_convolution([], []) == []
+
+    def test_import_builds_no_rows(self):
+        # no import-time work: the cache fills inside the first call
+        code = (
+            "import delpezzo1.unipoly as u\n"
+            "print(u._binomial_rows.cache_info().currsize)\n"
+            "rows = u._binomial_rows(4)\n"
+            "print(type(rows).__name__, sorted({type(r).__name__ for r in rows}), rows[-1])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0", "tuple ['tuple'] (1, 3, 3, 1)"]
 
 
 class TestRootSumPoly:

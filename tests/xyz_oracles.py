@@ -18,6 +18,10 @@ alike, summing each level's centre afresh at every node, and take the
 mod-2 census from a table of integer norms on all classes; the library
 searches half the space with running centres and builds q from the
 polarization identity on its mod-2 Gram rows.
+The power-sum oracles rebuild each row of Pascal's triangle inside the
+convolution loop and slice their inputs at every Newton step; the library
+reads cached rows, sums a self-convolution by symmetry and zips whole
+sequences.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import random
 from fractions import Fraction
 from math import isqrt, lcm, perm
+from operator import mul
 from typing import Sequence
 
 from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
@@ -44,7 +49,7 @@ from delpezzo1.linalg import q_kernel_basis
 from delpezzo1.quotient import common_factor, qr_reduce, tri_eval_param
 from delpezzo1.serialize import Check
 from delpezzo1.tripoly import TriPoly
-from delpezzo1.unipoly import UniPoly
+from delpezzo1.unipoly import UniPoly, _exact_quotient
 
 VARS = ("x", "y", "z")
 
@@ -306,3 +311,36 @@ def mod2_quadratic_census_norms(lat: IntLattice, roots: list) -> Check:
             "reflections_preserve_q": preserve,
         },
     )
+
+
+def binomial_convolution_rebuilt(pf: Sequence[int], pg: Sequence[int]) -> list[int]:
+    """sum_i C(k, i) pf_i pg_(k-i) for each k, with every Pascal row rebuilt from the last."""
+    sums: list[int] = []
+    binom_row = [1]
+    for p in range(len(pf)):
+        sums.append(sum(map(mul, map(mul, binom_row, pf), reversed(pg[: p + 1]))))
+        binom_row = [1] + [binom_row[j] + binom_row[j + 1] for j in range(p)] + [1]
+    return sums
+
+
+def power_sums_sliced(f: UniPoly, count: int) -> list[int]:
+    """Newton's identities for p_0..p_count of monic integer f, slicing a and ps at each step."""
+    fm = f.monic()
+    a = [c.numerator for c in reversed(fm.coeffs)]
+    n = fm.degree
+    ps = [n]
+    for k in range(1, count + 1):
+        m = min(k - 1, n)
+        s = sum(map(mul, a[1 : m + 1], reversed(ps[k - m : k])))
+        if k <= n:
+            s += k * a[k]
+        ps.append(-s)
+    return ps
+
+
+def from_power_sums_sliced(ps: Sequence[int]) -> UniPoly:
+    """Newton's recurrence k a_k = -(a_0 p_k + ... + a_(k-1) p_1), slicing ps at each step."""
+    a = [1]
+    for k in range(1, len(ps)):
+        a.append(_exact_quotient(-sum(map(mul, a, reversed(ps[1 : k + 1]))), k))
+    return UniPoly(reversed(a))
