@@ -18,7 +18,6 @@ import sys
 from .curve import (
     U_FORM,
     SeedError,
-    SeedPoly,
     build_bundle,
     build_v,
     model_degree_check,
@@ -29,6 +28,7 @@ from .galois import galois_check
 from .lattice import lattice_checks
 from .position import position_checks
 from .serialize import Check, to_canonical_json, to_text
+from .unipoly import UniPoly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,25 +44,25 @@ def _forms(bundle) -> dict:
     return {"u": U_FORM, "v": bundle.v, "w": bundle.w, "Q": bundle.q_form}
 
 
-def _construct(seed: SeedPoly, args) -> tuple[list[Check], dict]:
-    bundle = build_bundle(seed)
+def _construct(h: UniPoly, args) -> tuple[list[Check], dict]:
+    bundle = build_bundle(h)
     return [model_degree_check(bundle)], {"forms": _forms(bundle)}
 
 
-def _verify(seed: SeedPoly, args) -> tuple[list[Check], dict]:
-    bundle = build_bundle(seed)
-    checks = verify_bundle(bundle) + position_checks(seed, bundle.v)
-    galois = galois_check(seed, args.prime_bound)
+def _verify(h: UniPoly, args) -> tuple[list[Check], dict]:
+    bundle = build_bundle(h)
+    checks = verify_bundle(bundle) + position_checks(h, bundle.v)
+    galois = galois_check(h, args.prime_bound)
     checks.append(Check(galois.name, galois.passed, None))
     return checks, {"forms": _forms(bundle), "galois": galois.witness}
 
 
-def _position(seed: SeedPoly, args) -> tuple[list[Check], dict]:
-    return position_checks(seed, build_v(seed)), {}
+def _position(h: UniPoly, args) -> tuple[list[Check], dict]:
+    return position_checks(h, build_v(h)), {}
 
 
-def _galois(seed: SeedPoly, args) -> tuple[list[Check], dict]:
-    return [galois_check(seed, args.prime_bound)], {}
+def _galois(h: UniPoly, args) -> tuple[list[Check], dict]:
+    return [galois_check(h, args.prime_bound)], {}
 
 
 def _lattice(seed: None, args) -> tuple[list[Check], dict]:
@@ -98,7 +98,7 @@ def build_report(args) -> tuple[dict, bool]:
             witnesses.update(check.witness)
     payload = {
         "command": args.command,
-        "seed": seed.h if seed else None,
+        "seed": seed,
         "checks": {check.name: check.passed for check in checks},
         "witnesses": witnesses,
         **blocks,

@@ -47,19 +47,11 @@ class SeedError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class SeedPoly:
-    """A validated octic: monic, degree 8, no t^7 term, h(0) != 0, squarefree."""
+def validate_seed(coeffs: Sequence[Scalar | str]) -> UniPoly:
+    """The seed h from ascending coefficients, or raise SeedError.
 
-    h: UniPoly
-
-    @property
-    def h0(self) -> Fraction:
-        return self.h.coeff(0)
-
-
-def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
-    """Build a SeedPoly from ascending coefficients, or raise SeedError.
+    The h returned is monic of degree 8, with no t^7 term, h(0) != 0 and
+    squarefree: every seeded function takes such an h.
 
     Irreducibility is deliberately not required here; it is certified
     separately (and only one-sidedly) by the Galois machinery.
@@ -109,7 +101,7 @@ def validate_seed(coeffs: Sequence[Scalar | str]) -> SeedPoly:
         certified = False
     if not certified and h.gcd(h.derivative()).degree != 0:
         raise SeedError("not-squarefree", "gcd(h, h') is nonconstant")
-    return SeedPoly(h)
+    return h
 
 
 def _decimal_exponent_checked(c: Scalar | str) -> Scalar | str:
@@ -141,40 +133,37 @@ def amap(g: UniPoly) -> TriPoly:
     return TriPoly({(*divmod(n, 3), 0): c for n, c in enumerate(g.coeffs)})
 
 
-def build_v(seed: SeedPoly) -> TriPoly:
+def build_v(h: UniPoly) -> TriPoly:
     """The companion cubic: homogenization of A(t*h(t)) to degree 3."""
-    th = UniPoly([0, 1]) * seed.h
+    th = UniPoly([0, 1]) * h
     return amap(th).homogenize(3)
 
 
 @dataclass(frozen=True)
 class CurveBundle:
-    """Constructed forms plus the intermediate data worth auditing."""
+    """The seed h, the forms built from it, and w's audit trail p_reduced."""
 
-    seed: SeedPoly
+    h: UniPoly
     v: TriPoly
     w: TriPoly
     q_form: TriPoly
-    g_cubic: TriPoly   # degree <= 3 matcher for the x-derivative along the cusp
     p_reduced: UniPoly  # canonical remainder of F_x(t^3, t) modulo h
 
 
-def build_w(seed: SeedPoly) -> tuple[TriPoly, TriPoly, UniPoly]:
+def build_w(h: UniPoly) -> tuple[TriPoly, UniPoly]:
     """Construct the double-vanishing sextic w with its audit trail.
 
-    Returns (w, G, p) where F = A(h^2), p = F_x(t^3, t) reduced modulo h,
-    G = A(p) and w is F - (x - y^3) G homogenized to degree 6.  By
-    construction w and its first partials all vanish at every seed point,
-    while w(0, 0, 1) = h(0)^2 != 0.
+    Returns (w, p) where F = A(h^2), p = F_x(t^3, t) reduced modulo h and
+    w is F - (x - y^3) A(p) homogenized to degree 6.  By construction w and
+    its first partials all vanish at every seed point, while
+    w(0, 0, 1) = h(0)^2 != 0.
     """
-    h = seed.h
     f_sextic = amap(h * h)
     fx = f_sextic.derivative("x")
     p_reduced = tri_eval_param(fx, h)
-    g_cubic = amap(p_reduced)
     x_minus_y3 = TriPoly({(1, 0, 0): 1, (0, 3, 0): -1})
-    w = (f_sextic - x_minus_y3 * g_cubic).homogenize(6)
-    return w, g_cubic, p_reduced
+    w = (f_sextic - x_minus_y3 * amap(p_reduced)).homogenize(6)
+    return w, p_reduced
 
 
 def build_q(v: TriPoly, w: TriPoly) -> TriPoly:
@@ -200,15 +189,19 @@ def build_q(v: TriPoly, w: TriPoly) -> TriPoly:
     return q if d * e == 1 else q * Fraction(1, d * e)
 
 
-def build_bundle(seed: SeedPoly) -> CurveBundle:
-    v = build_v(seed)
-    w, g_cubic, p_reduced = build_w(seed)
-    return CurveBundle(seed, v, w, build_q(v, w), g_cubic, p_reduced)
+def build_bundle(h: UniPoly) -> CurveBundle:
+    v = build_v(h)
+    w, p_reduced = build_w(h)
+    return CurveBundle(h, v, w, build_q(v, w), p_reduced)
 
 
 def model_degree_check(bundle: CurveBundle) -> Check:
-    """The construct report's check: Q has degree 9, witnessed by w's audit trail."""
-    witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic}
+    """The construct report's check: Q has degree 9, witnessed by w's audit trail.
+
+    The cubic matcher A(p_reduced) is the degree <= 3 form that w's
+    construction subtracts, times x - y^3, from A(h^2).
+    """
+    witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": amap(bundle.p_reduced)}
     return Check("model_degree_9", bundle.q_form.total_degree == 9, witness)
 
 
@@ -244,15 +237,15 @@ def _xy_partials(form: TriPoly, order: int) -> list[TriPoly]:
     return list(partials.values())
 
 
-def cubic_space(seed: SeedPoly) -> list[TriPoly]:
+def cubic_space(h: UniPoly) -> list[TriPoly]:
     """Basis of cubic forms vanishing at all eight seed points.
 
     Row d, column e of the 8 x 10 system is the t^d coefficient of
     monomial e at (t^3, t, 1) mod h.
     """
     mons = _monomials(3)
-    cols = [tri_eval_param(TriPoly.monomial(m), seed.h).coeffs for m in mons]
-    rows = [[col[d] if d < len(col) else 0 for col in cols] for d in range(seed.h.degree)]
+    cols = [tri_eval_param(TriPoly.monomial(m), h).coeffs for m in mons]
+    rows = [[col[d] if d < len(col) else 0 for col in cols] for d in range(h.degree)]
     return [TriPoly(dict(zip(mons, vec))) for vec in q_kernel_basis(rows, len(mons))]
 
 
@@ -261,12 +254,12 @@ def _vanishes_doubly(form: TriPoly, h: UniPoly) -> bool:
     return all(tri_eval_param(f, h).is_zero for f in _xy_partials(form, 1))
 
 
-def sextic_space(seed: SeedPoly, v: TriPoly, w: TriPoly) -> Check:
+def sextic_space(h: UniPoly, v: TriPoly, w: TriPoly) -> Check:
     """Check that u^2, uv, v^2, w are a basis of the doubly-vanishing sextics.
 
-    The system has dimension 4 for every SeedPoly, by restriction to the
-    cuspidal cubic.  It uses validate_seed's invariants: h is monic of degree
-    8 with no t^7 term, h(0) != 0 and h is squarefree, so the points are g(a)
+    The system has dimension 4 for every seed h validate_seed accepts, by
+    restriction to the cuspidal cubic.  It uses validate_seed's invariants: h
+    is monic of degree 8 with no t^7 term, h(0) != 0 and h is squarefree, so the points are g(a)
     for g(t) = (t^3, t, 1) at eight distinct roots a.  Divide a form F of
     degree d by U_FORM in y: F = U_FORM G + R with R free of y^3.  As
     x^i y^j z^k goes to t^(3i+j), R -> R(g) is injective onto the polynomials
@@ -293,7 +286,6 @@ def sextic_space(seed: SeedPoly, v: TriPoly, w: TriPoly) -> Check:
     and w is off the hyperplane s0 = 0 the squares span: a failed premise is
     the exact kernel's verdict too, with the same dimension.
     """
-    h = seed.h
     basis = (
         tri_eval_param(v, h).is_zero
         and _vanishes_doubly(w, h)
@@ -328,7 +320,7 @@ def multiplicity_report(bundle: CurveBundle) -> list[Check]:
     same for any nonzero multiple of Q, so the partials are taken of d Q,
     with d the lcm of Q's coefficient denominators: they run on ints.
     """
-    h = bundle.seed.h
+    h = bundle.h
     q = bundle.q_form
     d = lcm(*(c.denominator for c in q.terms.values()))
     partials = _xy_partials(q if d == 1 else q * d, 3)
@@ -408,9 +400,7 @@ def perfect_power_dichotomy(q: TriPoly) -> Check:
 
 def verify_bundle(bundle: CurveBundle) -> list[Check]:
     """Run every finite check on a constructed bundle, in a fixed order."""
-    seed = bundle.seed
-    h = seed.h
-    v, w = bundle.v, bundle.w
+    h, v, w = bundle.h, bundle.v, bundle.w
     checks: list[Check] = []
 
     ident = v.param_eval() - UniPoly([0, 1]) * h
@@ -418,20 +408,20 @@ def verify_bundle(bundle: CurveBundle) -> list[Check]:
     checks.append(Check("v_x_degree", v.x_degree == 3, {"x_degree": v.x_degree}))
 
     # its premises include v vanishing at the points and at (0:0:1), as u does
-    sextic = sextic_space(seed, v, w)
+    sextic = sextic_space(h, v, w)
     # the kernel is exactly the cubics that vanish at the points
-    cubics = cubic_space(seed)
+    cubics = cubic_space(h)
     uv_vanish = sextic.passed or tri_eval_param(v, h).is_zero
     cubic_ok = len(cubics) == 2 and uv_vanish
     ninth_cubic = all(c.coeff((0, 0, 3)) == 0 for c in cubics)
     checks.append(Check("cubic_space_dimension", cubic_ok, {"dimension": len(cubics)}))
     checks.append(Check("cubic_space_ninth_point", ninth_cubic, {}))
     checks.append(sextic)
-    w_ninth = w.coeff((0, 0, 6))
+    w_ninth, expected = w.coeff((0, 0, 6)), h.coeff(0) ** 2
     checks.append(Check(
         "w_ninth_point_value",
-        w_ninth == seed.h0 ** 2 and w_ninth != 0,
-        {"value": w_ninth, "expected": seed.h0 ** 2},
+        w_ninth == expected and w_ninth != 0,
+        {"value": w_ninth, "expected": expected},
     ))
     # u^2, uv and v^2 vanish at (0:0:1) iff v does, as u = U_FORM does
     sq_vanish = sextic.passed or v.coeff((0, 0, 3)) == 0

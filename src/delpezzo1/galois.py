@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .curve import SeedPoly
 from .finitefield import PrimeSkip, ddf_degree_multiset, primes_up_to
 from .linalg import frac_is_square
 from .serialize import Check
+from .unipoly import UniPoly
 
 S8_CERTIFIED = "S8-certified"
 A8_CERTIFIED = "A8-certified"
@@ -44,7 +44,7 @@ class GaloisCertificate:
         return self.verdict != INCONCLUSIVE
 
 
-def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
+def certify_galois(h: UniPoly, prime_bound: int) -> GaloisCertificate:
     """Sample ascending primes up to the bound and certify if possible.
 
     Stops as soon as both witnesses are found; primes where the seed is
@@ -52,7 +52,6 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
     """
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
-    h = seed.h
     disc = h.discriminant()
     square = frac_is_square(disc)
     transitivity: int | None = None
@@ -84,8 +83,8 @@ def certify_galois(seed: SeedPoly, prime_bound: int) -> GaloisCertificate:
     )
 
 
-def galois_check(seed: SeedPoly, prime_bound: int) -> Check:
+def galois_check(h: UniPoly, prime_bound: int) -> Check:
     """The certificate as the `galois_certified` check, its witness in plain values."""
-    cert = certify_galois(seed, prime_bound)
+    cert = certify_galois(h, prime_bound)
     witness = {f.name: getattr(cert, f.name) for f in fields(cert)}
     return Check("galois_certified", cert.certified, witness)

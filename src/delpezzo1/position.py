@@ -17,14 +17,13 @@ Every decision is taken in exact arithmetic; no root is ever computed.
 
 from __future__ import annotations
 
-from .curve import SeedPoly
 from .quotient import common_factor
 from .serialize import Check
 from .tripoly import TriPoly
-from .unipoly import distinct_pair_sum_poly, distinct_triple_sum_poly
+from .unipoly import UniPoly, distinct_pair_sum_poly, distinct_triple_sum_poly
 
 
-def check_three_collinear(seed: SeedPoly) -> Check:
+def check_three_collinear(h: UniPoly) -> Check:
     """No three distinct roots of the seed sum to zero.
 
     Let T(s) run over the sums a+b+c of all 512 ordered root triples.
@@ -54,7 +53,6 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     of h3 (the sums 3a) and of T_distinct: n^3, n^2, n and 6 deg g for
     n = deg h.
     """
-    h = seed.h
     doubled = h.resultant(h.scale_roots(-2))
     if doubled != 0:
         distinct_pairs = h.resultant(distinct_pair_sum_poly(h).reflect())
@@ -80,18 +78,18 @@ def check_three_collinear(seed: SeedPoly) -> Check:
     )
 
 
-def check_six_conic(seed: SeedPoly) -> Check:
+def check_six_conic(h: UniPoly) -> Check:
     """No six points on a conic: no two roots of the seed sum to zero.
 
     Because the t^7 coefficient vanishes, all eight roots sum to zero, so
     six parameters sum to zero exactly when the other two do; that pairs
     a root a with -a, i.e. makes gcd(h(t), h(-t)) nonconstant.
     """
-    g = common_factor(seed.h, [seed.h.reflect()])
+    g = common_factor(h, [h.reflect()])
     return Check("no_six_on_conic", g.degree == 0, {"paired_root_factor": g})
 
 
-def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
+def check_singular_cubic(h: UniPoly, v: TriPoly) -> Check:
     """No cubic through all eight points is singular at one of them.
 
     Every cubic through the points lies in the pencil spanned by
@@ -105,13 +103,12 @@ def check_singular_cubic(seed: SeedPoly, v: TriPoly) -> Check:
     is v_y + 3t^2 v_x = d/dt v(t^3, t, 1).  Passing u itself as v is the
     rank-1 negative control.
     """
-    h = seed.h
     g = common_factor(h, [v.param_eval().derivative() % h])
     return Check(
         "no_singular_cubic_through_point", g.degree == 0, {"dependent_gradient_factor": g}
     )
 
 
-def position_checks(seed: SeedPoly, v: TriPoly) -> list[Check]:
+def position_checks(h: UniPoly, v: TriPoly) -> list[Check]:
     """The three general-position checks; v is the seed's companion cubic (build_v)."""
-    return [check_three_collinear(seed), check_six_conic(seed), check_singular_cubic(seed, v)]
+    return [check_three_collinear(h), check_six_conic(h), check_singular_cubic(h, v)]

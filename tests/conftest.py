@@ -20,7 +20,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from delpezzo1.curve import SeedError, SeedPoly, validate_seed
+from delpezzo1.curve import SeedError, validate_seed
+from delpezzo1.unipoly import UniPoly
 
 X8_COEFFS = [-1, -1, 0, 0, 0, 0, 0, 0, 1]
 
@@ -42,11 +43,11 @@ FRACTION_OVER_CAP = ["1/4294967308", *FRACTION_AT_CAP[1:]]
 
 
 @pytest.fixture
-def seed_x8() -> SeedPoly:
+def seed_x8() -> UniPoly:
     return validate_seed(X8_COEFFS)
 
 
-def random_valid_seed(rng: random.Random, bound: int = 9) -> SeedPoly:
+def random_valid_seed(rng: random.Random, bound: int = 9) -> UniPoly:
     """Random normalized octic with small integer coefficients."""
     while True:
         coeffs = [rng.randint(-bound, bound) for _ in range(7)] + [0, 1]
@@ -75,14 +76,14 @@ def seed_polys(draw, kinds=("small", "int100", "fraction")):
         assume(False)
 
 
-def mp_roots(seed: SeedPoly):
+def mp_roots(h: UniPoly):
     """All complex roots to 60 digits (untrusted oracle helper)."""
     from mpmath import mp, mpf, polyroots
 
     mp.dps = 60
     desc = [
         mpf(c.numerator) / mpf(c.denominator)
-        for c in reversed(seed.h.coeffs)
+        for c in reversed(h.coeffs)
     ]
     return polyroots(desc, maxsteps=200, extraprec=400)
 
@@ -101,19 +102,19 @@ def _certified_nonzero(values) -> bool:
     return all(m >= CLEAR_NONZERO for m in mags)
 
 
-def float_position_oracle(seed: SeedPoly) -> dict[str, bool]:
+def float_position_oracle(h: UniPoly) -> dict[str, bool]:
     """Numeric general-position decision from 60-digit roots."""
     from itertools import combinations
 
     from delpezzo1.curve import build_v
 
-    roots = mp_roots(seed)
+    roots = mp_roots(h)
     triple = _certified_nonzero(
         [a + b + c for a, b, c in combinations(roots, 3)]
     )
     pair = _certified_nonzero([a + b for a, b in combinations(roots, 2)])
 
-    v = build_v(seed)
+    v = build_v(h)
     partials = [v.derivative(s).param_eval() for s in ("x", "y", "z")]
 
     def evaluate(poly, alpha):
@@ -134,10 +135,10 @@ def float_position_oracle(seed: SeedPoly) -> dict[str, bool]:
     return {"collinear": triple, "conic": pair, "singular_cubic": cubic}
 
 
-def position_verdicts(seed: SeedPoly) -> dict[str, bool]:
+def position_verdicts(h: UniPoly) -> dict[str, bool]:
     """The exact general-position verdicts, keyed like float_position_oracle."""
     from delpezzo1.curve import build_v
     from delpezzo1.position import position_checks
 
     keys = ("collinear", "conic", "singular_cubic")
-    return {key: check.passed for key, check in zip(keys, position_checks(seed, build_v(seed)))}
+    return {key: check.passed for key, check in zip(keys, position_checks(h, build_v(h)))}

@@ -23,6 +23,7 @@ from conftest import (
 )
 from delpezzo1.curve import (
     U_FORM,
+    amap,
     build_bundle,
     build_v,
     cubic_space,
@@ -97,7 +98,7 @@ def test_criterion_1_worked_pipeline_fixture():
     oracle = sympy_forms(X8_COEFFS)
     t, x, y, z = oracle["syms"]
     ok = tri_as_dict(bundle.v) == as_terms(oracle["v"], x, y, z)
-    ok &= tri_as_dict(bundle.g_cubic) == as_terms(oracle["G"], x, y, z)
+    ok &= tri_as_dict(amap(bundle.p_reduced)) == as_terms(oracle["G"], x, y, z)
     ok &= tri_as_dict(bundle.w) == as_terms(oracle["w"], x, y, z)
     import sympy as sp
 
@@ -189,7 +190,7 @@ def test_criterion_6_galois_certificates():
     seed = validate_seed(X8_COEFFS)
     cert = certify_galois(seed, 200)
     ok = cert.verdict == "S8-certified"
-    ok &= not frac_is_square(seed.h.discriminant())
+    ok &= not frac_is_square(seed.discriminant())
 
     cyclotomic = validate_seed([1, 0, 0, 0, 0, 0, 0, 0, 1])
     for bound in (50, 200, 1000, 3000):

@@ -352,6 +352,27 @@ def test_root_imports_nothing_and_each_module_imports_first():
     loaded = json.loads(proc.stdout)
     assert loaded["delpezzo1"] == []
     assert not {"curve", "position", "galois", "quotient", "cli"} & set(loaded["delpezzo1.lattice"])
+    # the seed is its polynomial h, so the seeded checks need no curve types
+    assert "curve" not in loaded["delpezzo1.galois"]
+    assert "curve" not in loaded["delpezzo1.position"]
+
+
+def test_only_cli_imports_curve():
+    importers = set()
+    for path in Path(delpezzo1.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [f"delpezzo1.{name}" for name in [node.module] if name]
+                targets += [f"delpezzo1.{alias.name}" for alias in node.names if not node.module]
+            else:
+                continue
+            if "delpezzo1.curve" in targets:
+                importers.add(path.stem)
+    assert importers == {"cli"}
 
 
 def test_cli_imports_one_entry_point_per_layer():

@@ -58,10 +58,39 @@ from xyz_oracles import (
 )
 
 
+@st.composite
+def seed_texts(draw):
+    """Nine coefficient strings: decimals, exponents and p/q, some with blanks around."""
+    text = st.one_of(
+        st.sampled_from(["0.5", "1e3", " 7/3 ", "-2.25", "+4", "1.5E-2", "0"]),
+        st.decimals(-100, 100, places=3).map(str),
+        st.builds(lambda p, q: f" {p}/{q} ", st.integers(-99, 99), st.integers(1, 99)),
+    )
+    low = draw(st.lists(text, min_size=7, max_size=7))
+    return [*low, "0", "1"]
+
+
 class TestValidateSeed:
     def test_worked_seed_is_valid(self):
-        seed = validate_seed(X8_COEFFS)
-        assert seed.h0 == -1
+        h = validate_seed(X8_COEFFS)
+        assert h.coeff(0) == -1
+        assert not hasattr(curve, "SeedPoly")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            seed_polys().map(lambda h: list(h.coeffs)),
+            seed_polys().map(lambda h: [str(c) for c in h.coeffs]),
+            seed_texts(),
+        )
+    )
+    def test_returns_the_seed_polynomial(self, coeffs):
+        try:
+            h = validate_seed(coeffs)
+        except SeedError:
+            assume(False)
+        assert type(h) is UniPoly
+        assert h == UniPoly(Fraction(c) for c in coeffs)
 
     def test_t7_term_rejected(self):
         with pytest.raises(SeedError) as info:
@@ -113,7 +142,7 @@ class TestValidateSeed:
         h = prod((UniPoly([-r, 1]) for r in (1, 1 + p, 2, 3, 4, 5, 6, -(22 + p))), start=UniPoly([1]))
         assert max(abs(c.numerator) for c in h.coeffs).bit_length() == 73
         calls = self._count_gcds(monkeypatch)
-        assert validate_seed(list(h.coeffs)).h == h
+        assert validate_seed(list(h.coeffs)) == h
         assert calls == [7]
 
     def test_square_factor_rejected(self, monkeypatch):
@@ -131,7 +160,7 @@ class TestValidateSeed:
         seed = validate_seed(
             [Fraction(1, 3), Fraction(-1, 2), 0, 0, 0, 0, 0, 0, 1]
         )
-        assert seed.h.coeff(0) == Fraction(1, 3)
+        assert seed.coeff(0) == Fraction(1, 3)
 
     def test_height_cap(self):
         validate_seed(INT_AT_CAP)
@@ -183,7 +212,7 @@ class TestValidateSeed:
 def _seed_outcome(coeffs):
     """validate_seed's verdict: the seed polynomial, or the SeedError code."""
     try:
-        return validate_seed(coeffs).h
+        return validate_seed(coeffs)
     except SeedError as exc:
         return exc.code
 
@@ -213,13 +242,13 @@ class TestDecimalExponent:
 
     @pytest.mark.parametrize("text", ["1e31", "100000e-35"])
     def test_exponent_within_the_bound_accepted(self, text):
-        assert validate_seed([text, 1, 0, 0, 0, 0, 0, 0, 1]).h0 == Fraction(text)
+        assert validate_seed([text, 1, 0, 0, 0, 0, 0, 0, 1]).coeff(0) == Fraction(text)
 
     def test_zero_mantissa_is_zero(self):
         start = time.perf_counter()
         seed = validate_seed([-1, "0e-3000000", 0, 0, 0, 0, 0, 0, 1])
         assert time.perf_counter() - start < 0.01
-        assert seed.h == UniPoly([-1, 0, 0, 0, 0, 0, 0, 0, 1])
+        assert seed == UniPoly([-1, 0, 0, 0, 0, 0, 0, 0, 1])
         with pytest.raises(SeedError) as info:
             validate_seed(["0e-3000000", 1, 0, 0, 0, 0, 0, 0, 1])
         assert info.value.code == "zero-constant"
@@ -295,12 +324,13 @@ class TestWorkedPipeline:
         )
 
     def test_w_audit_values(self, seed_x8):
-        w, g_cubic, p_reduced = build_w(seed_x8)
+        w, p_reduced = build_w(seed_x8)
+        g_cubic = amap(p_reduced)
         assert p_reduced == UniPoly([0, 0, 0, 0, 0, 1, -1])
         assert g_cubic == TriPoly({(2, 0, 0): -1, (1, 2, 0): 1})
         # w in the z = 1 chart is A(h^2) - (x - y^3) G
         x_minus_y3 = TriPoly({(1, 0, 0): 1, (0, 3, 0): -1})
-        assert amap(seed_x8.h * seed_x8.h) - x_minus_y3 * g_cubic == TriPoly(
+        assert amap(seed_x8 * seed_x8) - x_minus_y3 * g_cubic == TriPoly(
             {
                 (5, 1, 0): 1,
                 (1, 5, 0): 1,
@@ -329,7 +359,7 @@ class TestWorkedPipeline:
     def test_q_degree_and_base_vanishing(self, seed_x8):
         bundle = build_bundle(seed_x8)
         assert bundle.q_form.total_degree == 9
-        assert tri_eval_param(bundle.q_form, seed_x8.h).is_zero
+        assert tri_eval_param(bundle.q_form, seed_x8).is_zero
 
     def test_degenerate_rows_give_zero(self, seed_x8):
         # a third row that is a function of the first two collapses the
@@ -344,7 +374,7 @@ class TestWorkedPipeline:
 
     def test_model_degree_check_reports_the_audit_trail(self, seed_x8):
         bundle = build_bundle(seed_x8)
-        witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": bundle.g_cubic}
+        witness = {"reduced_x_derivative": bundle.p_reduced, "cubic_matcher": amap(bundle.p_reduced)}
         assert curve.model_degree_check(bundle) == Check("model_degree_9", True, witness)
         cubic = dataclasses.replace(bundle, q_form=U_FORM)
         assert curve.model_degree_check(cubic) == Check("model_degree_9", False, witness)
@@ -356,7 +386,7 @@ class TestBuildQ:
     @settings(max_examples=15, deadline=None)
     @given(seed_polys(kinds=("fraction",)))
     def test_equals_the_unscaled_jacobian_on_fraction_seeds(self, seed):
-        assume(any(c.denominator != 1 for c in seed.h.coeffs))
+        assume(any(c.denominator != 1 for c in seed.coeffs))
         v, w = build_v(seed), build_w(seed)[0]
         assert build_q(v, w) == jacobian(U_FORM, v, w)
 
@@ -377,17 +407,17 @@ class TestSeedInvariants:
         seeds.append(validate_seed([rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]))
         for seed in seeds:
             v = build_v(seed)
-            assert v.param_eval() == UniPoly([0, 1]) * seed.h
+            assert v.param_eval() == UniPoly([0, 1]) * seed
             assert v.x_degree == 3
             assert v.coeff((0, 0, 3)) == 0
             w, *_ = build_w(seed)
-            assert w.coeff((0, 0, 6)) == seed.h0**2
+            assert w.coeff((0, 0, 6)) == seed.coeff(0)**2
             # the value at (0:0:1) that verify_bundle reads as the z^deg coefficient
             for form in [U_FORM, v, w] + cubic_space(seed):
                 assert form.coeff((0, 0, form.total_degree)) == form_value(form, 0, 0, 1)
             for s in ("x", "y", "z"):
-                assert tri_eval_param(w.derivative(s), seed.h).is_zero
-            assert tri_eval_param(w, seed.h).is_zero
+                assert tri_eval_param(w.derivative(s), seed).is_zero
+            assert tri_eval_param(w, seed).is_zero
 
 
 class TestLinearSystems:
@@ -456,7 +486,7 @@ class TestCubicSpaceCheck:
         # a v in the span passes, dependent on u or not; one off the points fails
         bundle = build_bundle(validate_seed(coeffs))
         mutated = dataclasses.replace(bundle, v=wrong(U_FORM, bundle.v))
-        oracle = cubic_space_rank(mutated.seed, U_FORM, mutated.v)
+        oracle = cubic_space_rank(mutated.h, U_FORM, mutated.v)
         assert oracle.passed is passed
         assert self._cubic_check(mutated) == oracle
 
@@ -560,7 +590,7 @@ class TestSexticCertificate:
 
     @pytest.mark.parametrize("coeffs", [X8_COEFFS, FIXED_FRACTION_COEFFS], ids=["x8", "fraction"])
     def test_closed_form_columns_match_tripoly_derivatives(self, coeffs):
-        h = validate_seed(coeffs).h
+        h = validate_seed(coeffs)
         ops = ["", "x", "y", "z", "xx", "xy"]
         for degree in (3, 6):
             rows = constraint_rows(h, degree, ops)
@@ -606,7 +636,7 @@ class TestRootScaling:
         seed = validate_seed(coeffs)
         base = verify_bundle(build_bundle(seed))
         calls = _count_kernel_calls(monkeypatch)
-        scaled = verify_bundle(build_bundle(validate_seed(seed.h.scale_roots(k).coeffs)))
+        scaled = verify_bundle(build_bundle(validate_seed(seed.scale_roots(k).coeffs)))
         assert [(c.name, c.passed) for c in scaled] == [(c.name, c.passed) for c in base]
         # only the cubic system computes a kernel, on fractional
         # coefficients (k = 1/3) too
@@ -638,7 +668,7 @@ class TestMultiplicity:
         order2, order3 = multiplicity_report(fake)
         assert order2.passed
         assert not order3.passed
-        assert order3.witness["order3_gcd"] == bundle.seed.h
+        assert order3.witness["order3_gcd"] == bundle.h
 
     def test_first_failing_derivative_is_named(self, seed_x8):
         # u^2 vanishes doubly but its second x-derivative 2 u_x^2 does not
@@ -730,7 +760,7 @@ class TestDichotomy:
     def test_model_leading_term_and_ninth_point_value(self, seed):
         q = build_bundle(seed).q_form
         assert q.leading() == ((8, 0, 1), 6)
-        assert q.coeff((0, 0, 9)) == 6 * seed.h0**3
+        assert q.coeff((0, 0, 9)) == 6 * seed.coeff(0)**3
 
 
 def test_verify_bundle_flags_degenerate_model(seed_x8):

@@ -172,8 +172,7 @@ def test_cycle_types_are_invariant_under_root_scaling():
     primes = primes_up_to(200)
     seeds = oracle_seeds()
     cases = 0
-    for seed in seeds:
-        h = seed.h
+    for h in seeds:
         for k in (Fraction(2), Fraction(-3), Fraction(1, 5), Fraction(-7, 2)):
             scaled = h.scale_roots(k)
             for p in primes:
@@ -331,7 +330,7 @@ DDF_POLYS = {
     # a rational root, as in every seed the Galois sampler leaves inconclusive
     "root -1": UniPoly([-9, 3, -1, -9, 3, 1, 1, 0, 1]),
     "root 2": UniPoly([-2, 1]) * UniPoly([3, -1, 0, 4, 1, -5, 2, 1]),
-    "small": random_valid_seed(_rng).h,
+    "small": random_valid_seed(_rng),
     "100-bit": UniPoly([_rng.getrandbits(100) - 2**99 for _ in range(7)] + [0, 1]),
     "p/q": UniPoly([Fraction(_rng.randint(-(10**6), 10**6), _rng.randint(1, 10**6)) for _ in range(7)] + [0, 1]),
     "p/q fixed": UniPoly([Fraction(c) for c in FIXED_FRACTION_COEFFS]),

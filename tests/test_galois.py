@@ -109,7 +109,7 @@ def test_discriminant_sign_matches_sympy(seed_x8):
     import sympy as sp
 
     t = sp.Symbol("t")
-    expr = sum(int(c) * t**i for i, c in enumerate(seed_x8.h.coeffs))
+    expr = sum(int(c) * t**i for i, c in enumerate(seed_x8.coeffs))
     assert sp.discriminant(expr, t) == -17600759
 
 
@@ -124,7 +124,7 @@ def test_root_scaling(coeffs, k):
     # differences gains k^2, and the group (hence an S8/A8 verdict) stays
     seed = validate_seed(coeffs)
     base = certify_galois(seed, 500)
-    scaled = certify_galois(validate_seed(seed.h.scale_roots(k).coeffs), 500)
+    scaled = certify_galois(validate_seed(seed.scale_roots(k).coeffs), 500)
     assert scaled.discriminant == k**56 * base.discriminant
     assert scaled.discriminant_is_square == base.discriminant_is_square
     if base.certified and scaled.certified:
@@ -159,4 +159,4 @@ def test_galois_check_reports_the_certificate_in_plain_values(coeffs, certified)
     assert check.witness["sampled_cycle_types"] == cert.sampled_cycle_types
     for ct in cert.sampled_cycle_types:
         assert set(ct) == {"prime", "parts"}
-        assert ct["parts"] == ddf_degree_multiset(seed.h, ct["prime"])
+        assert ct["parts"] == ddf_degree_multiset(seed, ct["prime"])

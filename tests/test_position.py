@@ -77,7 +77,7 @@ class TestCollinear:
         assert check.witness["distinct_triple_product"] == brute
 
     def test_distinct_zero_triple_is_caught_by_the_pair_factor(self):
-        h = validate_seed(DISTINCT_TRIPLE_BAD).h
+        h = validate_seed(DISTINCT_TRIPLE_BAD)
         assert h.resultant(h.scale_roots(-2)) != 0
         assert h.resultant(distinct_pair_sum_poly(h).reflect()) == 0
         check = check_three_collinear(validate_seed(DISTINCT_TRIPLE_BAD))
@@ -91,10 +91,9 @@ class TestFastPathFactorization:
 
     @settings(max_examples=30, deadline=None)
     @given(seed_polys())
-    def test_triple_product_matches_ordered_pair_sums(self, seed):
-        h = seed.h
+    def test_triple_product_matches_ordered_pair_sums(self, h):
         expected = h.resultant(root_sum_poly(h, h).reflect())
-        check = check_three_collinear(seed)
+        check = check_three_collinear(h)
         if check.witness["path"] == "fast":
             assert check.witness["triple_product"] == expected
         else:
@@ -142,7 +141,7 @@ class TestRootScaling:
     )
     def test_verdicts_and_witness_scaling(self, coeffs, k):
         seed = validate_seed(coeffs)
-        scaled_seed = validate_seed(seed.h.scale_roots(k).coeffs)
+        scaled_seed = validate_seed(seed.scale_roots(k).coeffs)
         base = position_checks(seed, build_v(seed))
         scaled = position_checks(scaled_seed, build_v(scaled_seed))
         assert [c.passed for c in scaled] == [c.passed for c in base]
@@ -178,7 +177,7 @@ class TestSingularCubic:
         assert check_singular_cubic(seed_x8, build_v(seed_x8)).passed
 
     def test_gradient_row_of_cusp_cubic(self, seed_x8):
-        h = seed_x8.h
+        h = seed_x8
         row = [tri_eval_param(U_FORM.derivative(s), h) for s in ("x", "y", "z")]
         assert row[0] == UniPoly([1])
         assert row[1] == UniPoly([0, 0, -3])
@@ -187,7 +186,7 @@ class TestSingularCubic:
     def test_degenerate_pencil_fails(self, seed_x8):
         check = check_singular_cubic(seed_x8, U_FORM)
         assert not check.passed
-        assert check.witness["dependent_gradient_factor"] == seed_x8.h
+        assert check.witness["dependent_gradient_factor"] == seed_x8
 
     def test_matches_the_three_minor_oracle(self):
         # one x/y minor gives the same Check as all three x/y/z minors
@@ -199,15 +198,14 @@ class TestSingularCubic:
 
     @settings(max_examples=25, deadline=None)
     @given(seed_polys(), st.lists(st.integers(-5, 5), min_size=10, max_size=10))
-    def test_parametric_derivative_is_the_gradient_minor(self, seed, coeffs):
+    def test_parametric_derivative_is_the_gradient_minor(self, h, coeffs):
         # d/dt v(t^3, t, 1) = u_x v_y - u_y v_x at the points, for any cubic v
         mons = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
         v = TriPoly(dict(zip(mons, coeffs)))
-        h = seed.h
         ux, uy = (tri_eval_param(U_FORM.derivative(s), h) for s in "xy")
         vx, vy = (tri_eval_param(v.derivative(s), h) for s in "xy")
         g = common_factor(h, [(ux * vy - uy * vx) % h])
-        assert check_singular_cubic(seed, v).witness == {"dependent_gradient_factor": g}
+        assert check_singular_cubic(h, v).witness == {"dependent_gradient_factor": g}
 
 
 class TestNegativeControlsAreIsolated:

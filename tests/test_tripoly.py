@@ -96,7 +96,7 @@ class TestDerivedFormsStayNormal:
         bundle = build_bundle(seed)
         forms = [U, bundle.v, bundle.w, bundle.q_form]
         forms += [f.derivative(s) for f in forms for s in "xyz"]
-        forms += [amap(UniPoly([0, 1]) * seed.h).homogenize(3), amap(seed.h * seed.h).homogenize(6)]
+        forms += [amap(UniPoly([0, 1]) * seed).homogenize(3), amap(seed * seed).homogenize(6)]
         for a in forms:
             assert_normal(a)
             assert_normal(c * a)

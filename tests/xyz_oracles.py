@@ -38,7 +38,6 @@ from conftest import FIXED_FRACTION_COEFFS, X8_COEFFS, random_valid_seed
 from delpezzo1.curve import (
     U_FORM,
     CurveBundle,
-    SeedPoly,
     _monomials,
     cubic_space,
     forms_rank,
@@ -80,7 +79,7 @@ def apply_ops(form: TriPoly, ops: str) -> TriPoly:
     return form
 
 
-def oracle_seeds() -> list[SeedPoly]:
+def oracle_seeds() -> list[UniPoly]:
     """Ten random small seeds, X8, the fraction seed and a 100-bit seed."""
     rng = random.Random(71)
     seeds = [random_valid_seed(rng) for _ in range(10)]
@@ -91,7 +90,7 @@ def oracle_seeds() -> list[SeedPoly]:
 
 def multiplicity_report_xyz(bundle: CurveBundle) -> list[Check]:
     """Every x/y/z partial of order <= 2 in turn, then the gcd over all order-3 ones."""
-    h = bundle.seed.h
+    h = bundle.h
     q = bundle.q_form
     ops = (
         "".join(combo)
@@ -111,9 +110,8 @@ def multiplicity_report_xyz(bundle: CurveBundle) -> list[Check]:
     ]
 
 
-def check_singular_cubic_xyz(seed: SeedPoly, v: TriPoly) -> Check:
+def check_singular_cubic_xyz(h: UniPoly, v: TriPoly) -> Check:
     """The gcd of h with all three 2x2 minors of the x/y/z gradient rows of u and v."""
-    h = seed.h
     row_u = [tri_eval_param(U_FORM.derivative(s), h) for s in VARS]
     row_v = [tri_eval_param(v.derivative(s), h) for s in VARS]
     minors = (
@@ -148,24 +146,24 @@ def constraint_rows(h: UniPoly, degree: int, ops: Sequence[str]) -> list[list[Fr
     return rows
 
 
-def space_through_points(seed: SeedPoly, degree: int, ops: Sequence[str]) -> list[TriPoly]:
+def space_through_points(h: UniPoly, degree: int, ops: Sequence[str]) -> list[TriPoly]:
     """The exact kernel over Q: a basis of the forms whose ops all vanish at the points."""
     mons = _monomials(degree)
-    kernel = q_kernel_basis(constraint_rows(seed.h, degree, ops), len(mons))
+    kernel = q_kernel_basis(constraint_rows(h, degree, ops), len(mons))
     return [TriPoly(dict(zip(mons, vec))) for vec in kernel]
 
 
-def sextic_space_exact(seed: SeedPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
+def sextic_space_exact(h: UniPoly, u: TriPoly, v: TriPoly, w: TriPoly) -> Check:
     """The exact kernel of the value, x-, y- and z-conditions, and u^2, uv, v^2, w against it."""
-    kernel = space_through_points(seed, 6, ["", "x", "y", "z"])
+    kernel = space_through_points(h, 6, ["", "x", "y", "z"])
     forms = [u * u, u * v, v * v, w]
     basis = len(kernel) == 4 and forms_rank(forms, 6) == 4 and forms_rank(kernel + forms, 6) == 4
     return Check("sextic_space_dimension", basis, {"dimension": len(kernel)})
 
 
-def cubic_space_rank(seed: SeedPoly, u: TriPoly, v: TriPoly) -> Check:
+def cubic_space_rank(h: UniPoly, u: TriPoly, v: TriPoly) -> Check:
     """The cubic kernel's dimension, and u, v in its span: equal ranks with and without them."""
-    cubics = cubic_space(seed)
+    cubics = cubic_space(h)
     ok = len(cubics) == 2 and forms_rank(cubics + [u, v], 3) == 2
     return Check("cubic_space_dimension", ok, {"dimension": len(cubics)})
 
